@@ -10,9 +10,12 @@ any code overhead in the payload itself.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .glyphs import is_prime
 from .raster import GlyphBits
@@ -46,16 +49,9 @@ FrameElement = Union[Run, Pause]
 
 @dataclass(frozen=True)
 class BitFrame:
-    """Framed message: elements plus grid metadata once known.
-
-    Frames built by frame_message always carry dims and repetition; a
-    frame recovered from a waveform starts without them until infer_grid
-    validates the structure.
-    """
+    """Framed message: runs of bits and typed pauses, in wire order."""
 
     elements: tuple[FrameElement, ...]
-    repetition: int | None = None
-    dims: tuple[int, int] | None = None
 
     def runs(self) -> list[Run]:
         return [e for e in self.elements if isinstance(e, Run)]
@@ -128,64 +124,54 @@ def frame_message(
         if ci:
             elements.append(Pause(PauseKind.MESSAGE))
         elements.extend(copy)
-    return BitFrame(tuple(elements), repetition, (width, height))
+    return BitFrame(tuple(elements))
 
 
-def _split(elements: Sequence[FrameElement], kind: PauseKind) -> list[list[FrameElement]]:
-    parts: list[list[FrameElement]] = [[]]
-    for e in elements:
-        if isinstance(e, Pause) and e.kind is kind:
-            parts.append([])
-        else:
-            parts[-1].append(e)
-    return parts
+def read_frame(frame: BitFrame | Sequence[FrameElement]) -> tuple[GridInfo, np.ndarray]:
+    """Validate the frame structure in one walk and return its payloads.
 
-
-def _structure(elements: Sequence[FrameElement]) -> list[list[list[Run]]]:
-    """Nest elements as copies -> glyph blocks -> runs, validating shape."""
+    Runs must alternate with pauses; row pauses separate the rows of one
+    glyph block, glyph pauses the blocks, message pauses the copies. Pause
+    structure is authoritative; the prime factorization of the per-glyph
+    bit count is re-checked as an independent verification and any
+    disagreement is an error rather than a reinterpretation. The payloads
+    are a uint8 array of shape (repetition, n_glyphs * width * height),
+    one row of flat bits per copy in transmission order.
+    """
+    elements = frame.elements if isinstance(frame, BitFrame) else tuple(frame)
     if not elements:
         raise InconsistentFrameError("empty frame")
     if not isinstance(elements[0], Run) or not isinstance(elements[-1], Run):
         raise InconsistentFrameError("frame must start and end with a run")
+    rows: list[tuple[int, ...]] = []
+    heights: set[int] = set()  # runs per glyph block
+    counts = [1]  # glyph blocks per copy
+    block = 0
     prev_run = False
     for e in elements:
         if isinstance(e, Run):
             if prev_run:
                 raise InconsistentFrameError("adjacent runs without a pause")
+            rows.append(e.bits)
+            block += 1
             prev_run = True
         else:
             if not prev_run:
                 raise InconsistentFrameError("adjacent pauses")
+            if e.kind is not PauseKind.ROW:
+                heights.add(block)
+                block = 0
+                if e.kind is PauseKind.MESSAGE:
+                    counts.append(1)
+                else:
+                    counts[-1] += 1
             prev_run = False
+    heights.add(block)
 
-    copies = []
-    for copy_elems in _split(elements, PauseKind.MESSAGE):
-        blocks = []
-        for block_elems in _split(copy_elems, PauseKind.GLYPH):
-            runs = [e for e in block_elems if isinstance(e, Run)]
-            if not runs:
-                raise InconsistentFrameError("empty glyph block")
-            blocks.append(runs)
-        copies.append(blocks)
-    return copies
-
-
-def infer_grid(frame: BitFrame | Sequence[FrameElement]) -> GridInfo:
-    """Recover (width, height, n_glyphs, repetition) from frame structure.
-
-    Pause structure is authoritative; the prime factorization of the
-    per-glyph bit count is re-checked as an independent verification and
-    any disagreement is an error rather than a reinterpretation.
-    """
-    elements = frame.elements if isinstance(frame, BitFrame) else tuple(frame)
-    copies = _structure(elements)
-
-    widths = {len(r.bits) for copy in copies for block in copy for r in block}
+    widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InconsistentFrameError(f"mixed run lengths {sorted(widths)}")
     width = widths.pop()
-
-    heights = {len(block) for copy in copies for block in copy}
     if len(heights) != 1:
         raise InconsistentFrameError(f"mixed glyph block heights {sorted(heights)}")
     height = heights.pop()
@@ -193,13 +179,16 @@ def infer_grid(frame: BitFrame | Sequence[FrameElement]) -> GridInfo:
     if not is_prime(width) or not is_prime(height):
         raise NonPrimeDimensionsError(f"observed grid {width}x{height} is not a prime pair")
 
-    n_glyphs = len(copies[0])
-    if any(len(copy) != n_glyphs for copy in copies):
-        counts = [len(c) for c in copies]
-        good = [flatten_copy(c) for c in copies if len(c) == n_glyphs]
-        corrected = majority_vote(good).payload if good else None
+    bits = np.array(rows, dtype=np.uint8).reshape(-1)
+    n_glyphs = counts[0]
+    if any(c != n_glyphs for c in counts):
+        # Vote over the copies that share the most common glyph count.
+        common = Counter(counts).most_common(1)[0][0]
+        copies = np.split(bits, np.cumsum(counts)[:-1] * width * height)
+        good = [c for c, n in zip(copies, counts) if n == common]
         raise RepetitionMismatchError(
-            f"copies disagree on glyph count: {counts}", corrected_payload=corrected
+            f"copies disagree on glyph count: {counts}",
+            corrected_payload=majority_vote(good).payload,
         )
 
     per_glyph = width * height
@@ -207,7 +196,13 @@ def infer_grid(frame: BitFrame | Sequence[FrameElement]) -> GridInfo:
         raise NonPrimeDimensionsError(
             f"per-glyph bit count {per_glyph} does not factor as {width}x{height}"
         )
-    return GridInfo(width, height, n_glyphs, len(copies))
+    info = GridInfo(width, height, n_glyphs, len(counts))
+    return info, bits.reshape(len(counts), -1)
+
+
+def infer_grid(frame: BitFrame | Sequence[FrameElement]) -> GridInfo:
+    """Recover (width, height, n_glyphs, repetition) from frame structure."""
+    return read_frame(frame)[0]
 
 
 def prime_pair_factorization(n: int) -> tuple[int, int]:
@@ -226,16 +221,6 @@ def prime_pair_factorization(n: int) -> tuple[int, int]:
     return (factors[0], factors[1])
 
 
-def flatten_copy(blocks: list[list[Run]]) -> tuple[int, ...]:
-    return tuple(b for block in blocks for run in block for b in run.bits)
-
-
-def copy_payloads(frame: BitFrame | Sequence[FrameElement]) -> list[tuple[int, ...]]:
-    """Flat payload bits of each repeated copy, in transmission order."""
-    elements = frame.elements if isinstance(frame, BitFrame) else tuple(frame)
-    return [flatten_copy(blocks) for blocks in _structure(elements)]
-
-
 class MajorityResult(NamedTuple):
     payload: tuple[int, ...]
     tie_positions: tuple[int, ...]
@@ -247,22 +232,16 @@ def majority_vote(copies: Sequence[Sequence[int]]) -> MajorityResult:
     An even split falls back to the first copy's bit and the position is
     flagged, so the result is deterministic and the tie is diagnosable.
     """
-    if not copies:
+    if len(copies) == 0:
         raise ValueError("majority vote needs at least one copy")
-    length = len(copies[0])
-    if any(len(c) != length for c in copies):
-        raise LengthMismatchError(f"copy lengths differ: {[len(c) for c in copies]}")
-    voted = []
-    ties = []
-    k = len(copies)
-    for i in range(length):
-        ones = sum(c[i] for c in copies)
-        if 2 * ones == k:
-            voted.append(copies[0][i])
-            ties.append(i)
-        else:
-            voted.append(1 if 2 * ones > k else 0)
-    return MajorityResult(tuple(voted), tuple(ties))
+    lengths = [len(c) for c in copies]
+    if len(set(lengths)) != 1:
+        raise LengthMismatchError(f"copy lengths differ: {lengths}")
+    stack = np.asarray(copies, dtype=np.int64)
+    twice_ones = 2 * stack.sum(axis=0)
+    tie = twice_ones == len(stack)
+    voted = np.where(tie, stack[0], twice_ones > len(stack))
+    return MajorityResult(tuple(voted.tolist()), tuple(np.flatnonzero(tie).tolist()))
 
 
 _PAUSE_TEXT = {PauseKind.ROW: "/", PauseKind.GLYPH: "//", PauseKind.MESSAGE: "///"}
@@ -305,9 +284,4 @@ def frame_from_text(text: str) -> BitFrame:
         else:
             raise ValueError(f"unexpected character {ch!r} at offset {i}")
         i = j
-    frame = BitFrame(tuple(elements))
-    try:
-        info = infer_grid(frame)
-    except ValueError:
-        return frame
-    return BitFrame(frame.elements, info.repetition, (info.width, info.height))
+    return BitFrame(tuple(elements))

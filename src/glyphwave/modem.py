@@ -10,7 +10,7 @@ round trip is exact for every scheme.
 Demodulation assumes the transmit configuration is shared (so phase-shift
 keying uses a coherent reference and keeps its documented global sign
 ambiguity) and that pauses are no shorter than one bit duration, which
-the defaults guarantee.
+the configuration enforces.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .framing import BitFrame, FrameElement, Pause, PauseKind, Run, infer_grid
+from .framing import BitFrame, FrameElement, Pause, PauseKind, Run
 
 SCHEMES = ("ask", "fsk", "psk")
 
@@ -62,9 +62,10 @@ class ModemConfig:
     schemes that rely on it (tone orthogonality for frequency keying,
     per-bit phase coherence for phase keying). Pause durations must be
     strictly ordered with pairwise ratio at least 2 so the receiver can
-    tell them apart. amp0 defaults to a quarter scale rather than zero:
-    fully silent zero bits cannot be told apart from framing silence, so
-    on-off keying (amp0 = 0) is transmit-only.
+    tell them apart, and no shorter than one bit. amp0 defaults to a
+    quarter scale rather than zero: fully silent zero bits cannot be told
+    apart from framing silence, so on-off keying (amp0 = 0) is
+    transmit-only.
     """
 
     scheme: str = "fsk"
@@ -115,6 +116,8 @@ class ModemConfig:
             raise ConfigInvalidError("pauses must satisfy 0 < row < glyph < message")
         if self.pause_glyph < 2 * self.pause_row or self.pause_message < 2 * self.pause_glyph:
             raise ConfigInvalidError("pause durations need pairwise ratio of at least 2")
+        if self.pause_row < self.bit_duration:
+            raise ConfigInvalidError("pause_row must be at least one bit_duration")
 
     @property
     def pause_samples(self) -> dict[PauseKind, int]:
@@ -176,18 +179,6 @@ def modulate(frame: BitFrame, cfg: ModemConfig) -> Waveform:
             parts.append(np.zeros(pause_samples[e.kind]))
     samples = np.concatenate(parts) if parts else np.zeros(0)
     return Waveform(samples, cfg.sample_rate)
-
-
-def modulated_length(frame: BitFrame, cfg: ModemConfig) -> int:
-    """Closed-form sample count of modulate(frame, cfg)."""
-    pause_samples = cfg.pause_samples
-    total = 0
-    for e in frame.elements:
-        if isinstance(e, Run):
-            total += len(e.bits) * cfg.bit_duration
-        else:
-            total += pause_samples[e.kind]
-    return total
 
 
 def _window_means(cum: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
@@ -348,12 +339,7 @@ def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
             elements.append(Pause(_classify_pause(gap, cfg)))
         elements.append(Run(tuple(_decide_bits(x[s:e], cfg))))
 
-    frame = BitFrame(tuple(elements))
-    try:
-        info = infer_grid(frame)
-    except ValueError:
-        return frame
-    return BitFrame(frame.elements, info.repetition, (info.width, info.height))
+    return BitFrame(tuple(elements))
 
 
 # --- WAV and configuration file round trips -------------------------------

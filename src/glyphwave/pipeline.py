@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framing import (
-    BitFrame,
-    LengthMismatchError,
-    copy_payloads,
-    frame_message,
-    infer_grid,
-    majority_vote,
-)
+from .framing import BitFrame, LengthMismatchError, frame_message, majority_vote, read_frame
 from .glyphs import DEFAULT_DIMS, Glyph, bitmap_of, glyph_sequence, registry_for
 from .modem import ModemConfig, Waveform, demodulate, modulate
 from .notation import MAXWELL, SPACETIME, Message, SymbolKind, SymbolSpec, parse_dsl, print_dsl
@@ -95,14 +88,12 @@ def recognize_glyph(
     width, height = dims
     if len(bits) != width * height:
         raise LengthMismatchError(f"payload has {len(bits)} bits, grid wants {width * height}")
-    ranked = sorted(
-        ((sum(int(b) != int(p) for b, p in zip(bits, bm.pixels)), g) for g, bm in table.items()),
-        key=lambda pair: pair[0],
-    )
-    (best_d, best_g), (second_d, _) = ranked[0], ranked[1]
-    if best_d == second_d:
-        raise AmbiguousGlyphError(f"payload is {best_d} flips from two glyphs")
-    return best_g, best_d, second_d
+    pixels = np.array([bm.pixels for bm in table.values()], dtype=np.uint8)
+    dist = (pixels != np.asarray(bits)).sum(axis=1)
+    best, second = np.argsort(dist, kind="stable")[:2]
+    if dist[best] == dist[second]:
+        raise AmbiguousGlyphError(f"payload is {dist[best]} flips from two glyphs")
+    return list(table)[best], int(dist[best]), int(dist[second])
 
 
 _SPACETIME_PATTERN = tuple(glyph_sequence(SPACETIME))
@@ -190,7 +181,7 @@ def message_frame(
     msg: Message, repetition: int = 1, dims: tuple[int, int] = DEFAULT_DIMS
 ) -> BitFrame:
     glyphs = message_glyphs(msg)
-    bits = [serialize_glyph(bitmap_of(g, dims), g) for g in glyphs]
+    bits = [serialize_glyph(bitmap_of(g, dims)) for g in glyphs]
     return frame_message(bits, repetition, dims)
 
 
@@ -230,13 +221,9 @@ class DecodeReport:
 def receive(wave: Waveform, cfg: ModemConfig | None = None) -> DecodeReport:
     """Full decode: demodulate, vote across copies, recognize, re-parse."""
     cfg = cfg or ModemConfig()
-    frame = demodulate(wave, cfg)
-    info = infer_grid(frame)
-    payloads = copy_payloads(frame)
+    info, payloads = read_frame(demodulate(wave, cfg))
     vote = majority_vote(payloads)
-
-    stack = np.array(payloads)
-    corrected = int(np.sum((stack != np.array(vote.payload)).any(axis=0)))
+    corrected = int((payloads != np.array(vote.payload)).any(axis=0).sum())
 
     per_glyph = []
     failures: list[tuple[int, Exception]] = []

@@ -19,10 +19,9 @@ class MixedDimensionsError(ValueError):
 
 @dataclass(frozen=True)
 class GlyphBits:
-    """Bits of one glyph, split by row. glyph_id is kept when known."""
+    """Bits of one glyph, split by row."""
 
     rows: tuple[tuple[int, ...], ...]
-    glyph_id: Glyph | None = None
 
     @property
     def width(self) -> int:
@@ -55,9 +54,13 @@ class Image:
 
 
 def serialize_glyph(bm: GlyphBitmap, glyph_id: Glyph | None = None) -> GlyphBits:
-    """Transcribe a bitmap into bit rows, top to bottom."""
+    """Transcribe a bitmap into bit rows, top to bottom.
+
+    glyph_id is accepted for existing callers and ignored: the bits depend
+    on the bitmap alone.
+    """
     rows = tuple(tuple(int(p) for p in bm.row(y)) for y in range(bm.height))
-    return GlyphBits(rows, glyph_id)
+    return GlyphBits(rows)
 
 
 def deserialize_glyph(bits: tuple[int, ...], dims: tuple[int, int]) -> GlyphBitmap:

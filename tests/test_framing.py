@@ -12,13 +12,13 @@ from glyphwave.framing import (
     PauseKind,
     RepetitionMismatchError,
     Run,
-    copy_payloads,
     frame_from_text,
     frame_message,
     frame_to_text,
     infer_grid,
     majority_vote,
     prime_pair_factorization,
+    read_frame,
 )
 from glyphwave.glyphs import Glyph, bitmap_of
 from glyphwave.notation import canonical_messages
@@ -27,7 +27,7 @@ from glyphwave.raster import serialize_glyph
 
 
 def glyph_bits(g: Glyph):
-    return serialize_glyph(bitmap_of(g), g)
+    return serialize_glyph(bitmap_of(g))
 
 
 def walk_counts(frame: BitFrame):
@@ -65,9 +65,9 @@ class TestFrameMessage:
         _, bits3, _, _, msg_p = walk_counts(three)
         assert bits3 == 3 * bits1
         assert msg_p == 2
-        copies = copy_payloads(three)
-        assert len(copies) == 3
-        assert copies[0] == copies[1] == copies[2]
+        _, copies = read_frame(three)
+        assert copies.shape == (3, 16 * 35)
+        assert (copies == copies[0]).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -107,8 +107,8 @@ class TestInferGrid:
             n = int(rng.integers(1, 5))
             rep = int(rng.integers(1, 4))
             frame = frame_message([random_glyph_bits(rng) for _ in range(n)], rep, (5, 7))
-            info = infer_grid(frame)
-            total = sum(len(c) for c in copy_payloads(frame))
+            info, copies = read_frame(frame)
+            total = copies.size
             assert total == info.repetition * info.n_glyphs * info.width * info.height
 
     def test_composite_run_length_rejected(self):
@@ -132,13 +132,12 @@ class TestInferGrid:
     def test_structural_repetition_mismatch(self):
         good = frame_message([glyph_bits(Glyph.LPAREN)] * 2, 1, (5, 7)).elements
         bad = frame_message([glyph_bits(Glyph.LPAREN)], 1, (5, 7)).elements
-        elements = good + (Pause(PauseKind.MESSAGE),) + good + (
-            Pause(PauseKind.MESSAGE),
-        ) + bad
-        with pytest.raises(RepetitionMismatchError) as exc:
-            infer_grid(elements)
-        flat = copy_payloads(good)[0]
-        assert exc.value.corrected_payload == flat
+        sep = (Pause(PauseKind.MESSAGE),)
+        flat = tuple(read_frame(good)[1][0].tolist())
+        for elements in (good + sep + good + sep + bad, bad + sep + good + sep + good):
+            with pytest.raises(RepetitionMismatchError) as exc:
+                infer_grid(elements)
+            assert exc.value.corrected_payload == flat
 
 
 class TestMajorityVote:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fast_config, random_glyph_bits
-from glyphwave.framing import BitFrame, Pause, PauseKind, Run, frame_message
+from glyphwave.framing import BitFrame, GridInfo, Pause, PauseKind, Run, frame_message, infer_grid
 from glyphwave.modem import (
     AmbiguousPauseError,
     ConfigInvalidError,
@@ -13,7 +13,6 @@ from glyphwave.modem import (
     demodulate,
     load_config,
     modulate,
-    modulated_length,
     read_wav,
     save_config,
     write_wav,
@@ -52,6 +51,8 @@ class TestConfigValidation:
             ModemConfig(pause_row=1440, pause_glyph=480)
         with pytest.raises(ConfigInvalidError):
             ModemConfig(pause_row=480, pause_glyph=700, pause_message=3360)
+        with pytest.raises(ConfigInvalidError):  # row pause shorter than one bit
+            ModemConfig(pause_row=120, pause_glyph=360, pause_message=840)
 
     def test_ask_amplitudes(self):
         ModemConfig(scheme="ask", amp0=0.0)  # on-off keying stays constructible
@@ -95,7 +96,6 @@ class TestModulate:
         frame = one_glyph_frame()
         wave = modulate(frame, cfg)
         assert len(wave.samples) == 35 * 480 + 6 * 480 == 19680
-        assert modulated_length(frame, cfg) == 19680
 
     def test_duration_law_random_frames(self, rng):
         cfg = fast_config("psk")
@@ -143,12 +143,10 @@ class TestDemodulate:
                 )
                 assert demodulate(modulate(frame, cfg), cfg) == frame
 
-    def test_demodulate_fills_grid_metadata(self):
+    def test_demodulated_frame_yields_grid(self):
         cfg = fast_config("fsk")
         frame = one_glyph_frame()
-        back = demodulate(modulate(frame, cfg), cfg)
-        assert back.dims == (5, 7)
-        assert back.repetition == 1
+        assert infer_grid(demodulate(modulate(frame, cfg), cfg)) == GridInfo(5, 7, 1, 1)
 
     def test_all_zero_waveform(self):
         cfg = ModemConfig()

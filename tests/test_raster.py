@@ -25,10 +25,9 @@ class TestSerialize:
         assert bits.flatten() == (1,) * 35
 
     def test_lparen_rows(self):
-        bits = serialize_glyph(bitmap_of(Glyph.LPAREN), Glyph.LPAREN)
+        bits = serialize_glyph(bitmap_of(Glyph.LPAREN))
         assert bits.rows[0] == (0, 0, 1, 0, 0)
         assert bits.rows[1] == (0, 1, 0, 0, 0)
-        assert bits.glyph_id is Glyph.LPAREN
 
     def test_every_canonical_glyph_is_35_bits(self):
         for g in Glyph:
