@@ -2,10 +2,17 @@
 
 Each run bit becomes one fixed-length burst of carrier shaped by the
 chosen keying (amplitude, frequency, or phase); each pause becomes a
-configured stretch of silence. The receiver segments the waveform by
-windowed power, classifies silence lengths back into pause kinds, and
-decides bits with matched-filter correlations. With a clean channel the
-round trip is exact for every scheme.
+configured stretch of silence. With a clean channel the round trip is
+exact for every scheme.
+
+The receiver works over whole-waveform arrays in one pass. It computes
+the block, short-window and confirm-window powers once, finds every
+active segment and refines its edges from them, then decides every
+segment's bit count, every silence's pause kind (the nearest configured
+length within PAUSE_TOLERANCE) and every bit's matched-filter
+correlation together; the first fault in wire order is raised. Two pause
+kinds a < b cannot tie: a gap equidistant from both and within tolerance
+of both needs b <= 1.8 a, and the configuration enforces b >= 2 a.
 
 Demodulation assumes the transmit configuration is shared (so phase-shift
 keying uses a coherent reference and keeps its documented global sign
@@ -181,164 +188,149 @@ def modulate(frame: BitFrame, cfg: ModemConfig) -> Waveform:
     return Waveform(samples, cfg.sample_rate)
 
 
-def _window_means(cum: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
-    return (cum[starts + length] - cum[starts]) / length
+def _active_segments(cum: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse power-threshold segmentation with sample-level edge refinement.
 
-
-def _active_segments(power: np.ndarray, cum: np.ndarray, cfg: ModemConfig) -> list[tuple[int, int]]:
-    """Coarse power-threshold segmentation with sample-level edge refinement."""
-    n = len(power)
+    Returns the start and stop sample of every active segment as two arrays.
+    """
+    n = len(cum) - 1
     w = max(8, cfg.bit_duration // 2)
-    bounds = list(range(0, n, w)) + [n]
-    block_p = np.array(
-        [(cum[b] - cum[a]) / (b - a) for a, b in zip(bounds[:-1], bounds[1:])]
-    )
+    bounds = np.append(np.arange(0, n, w), n)
+    block_p = np.diff(cum[bounds]) / np.diff(bounds)
 
     floor_p = (cfg.peak_amplitude / 20) ** 2
     thr_p = floor_p
-    if len(block_p):
-        lo = float(np.percentile(block_p, 5))
-        hi = float(np.percentile(block_p, 90))
-        # Adaptive threshold only when the power histogram is clearly
-        # bimodal; otherwise the configured floor stands (clean signals
-        # have lo == 0 and land here as well).
-        if hi > 0 and lo < hi / 4:
-            thr_p = max(floor_p, math.sqrt(max(lo, 0.0) * hi))
+    lo = float(np.percentile(block_p, 5))
+    hi = float(np.percentile(block_p, 90))
+    # Adaptive threshold only when the power histogram is clearly
+    # bimodal; otherwise the configured floor stands (clean signals
+    # have lo == 0 and land here as well).
+    if hi > 0 and lo < hi / 4:
+        thr_p = max(floor_p, math.sqrt(max(lo, 0.0) * hi))
 
-    active = block_p > thr_p
-    coarse: list[tuple[int, int]] = []
-    i = 0
-    while i < len(active):
-        if active[i]:
-            j = i
-            while j < len(active) and active[j]:
-                j += 1
-            coarse.append((bounds[i], bounds[j]))
-            i = j
-        else:
-            i += 1
+    edges = np.diff(np.concatenate(([0], (block_p > thr_p).astype(np.int8), [0])))
+    coarse = zip(bounds[edges == 1].tolist(), bounds[edges == -1].tolist())
 
     # Edge refinement pairs a short window (timing precision, overshoot
     # into silence under sw per side, inside the 10 percent drift budget)
     # with a longer confirm window so isolated noise flukes near an edge
-    # cannot masquerade as signal onset.
+    # cannot masquerade as signal onset. The caller pads at least
+    # bit_duration // 2 samples per side, so n > cw and neither window
+    # array is empty.
     sw = max(2, cfg.bit_duration // 24)
     cw = max(sw, cfg.bit_duration // 4)
-    if n >= cw:
-        starts = np.arange(0, n - cw + 1)
-        hot = (_window_means(cum, starts, sw) > thr_p) & (
-            _window_means(cum, starts, cw) > thr_p
-        )
-    else:
-        hot = np.zeros(0, dtype=bool)
+    short = (cum[sw:] - cum[:-sw]) / sw > thr_p
+    confirm = (cum[cw:] - cum[:-cw]) / cw > thr_p
+    # hot[i]: both windows starting at sample i are hot; hot_end[i]: both
+    # windows ending at sample i are.
+    hot = short[: len(confirm)] & confirm
+    hot_end = np.concatenate([np.zeros(cw, bool), short[cw - sw :] & confirm])
 
-    def first_hot(a: int, b: int) -> int | None:
-        a, b = max(a, 0), min(b, len(hot))
-        if a >= b:
-            return None
-        seg = hot[a:b]
-        idx = int(np.argmax(seg))
-        return a + idx if seg[idx] else None
-
-    def last_hot_end(a: int, b: int) -> int | None:
-        # Largest end index whose trailing short and confirm windows are hot.
-        a, b = max(a, cw), min(b, n)
-        if a >= b:
-            return None
-        ends = np.arange(a, b + 1)
-        seg = (_window_means(cum, ends - sw, sw) > thr_p) & (
-            _window_means(cum, ends - cw, cw) > thr_p
-        )
-        idx = int(np.argmax(seg[::-1]))
-        return int(ends[len(ends) - 1 - idx]) if seg[len(ends) - 1 - idx] else None
-
-    refined = []
+    starts, stops = [], []
     for s, e in coarse:
-        start = first_hot(s - w, s + w)
-        stop = last_hot_end(e - w, e + w)
-        start = s if start is None else start
-        stop = e if stop is None else stop
-        if stop - start >= cfg.bit_duration // 2:
-            refined.append((start, stop))
-    return refined
-
-
-def _classify_pause(gap: int, cfg: ModemConfig) -> PauseKind:
-    candidates = [
-        (abs(gap - dur), kind)
-        for kind, dur in cfg.pause_samples.items()
-        if abs(gap - dur) <= PAUSE_TOLERANCE * dur
-    ]
-    if not candidates:
-        raise AmbiguousPauseError(f"silence of {gap} samples matches no configured pause")
-    candidates.sort(key=lambda c: c[0])
-    if len(candidates) > 1 and candidates[0][0] == candidates[1][0]:
-        raise AmbiguousPauseError(f"silence of {gap} samples is equidistant to two pause kinds")
-    return candidates[0][1]
-
-
-def _decide_bits(seg: np.ndarray, cfg: ModemConfig) -> list[int]:
-    """Matched-filter bit decisions on one active segment."""
-    bd = cfg.bit_duration
-    length = len(seg)
-    nbits = max(1, round(length / bd))
-    # Drift tolerance accumulates over the run: 10 percent of its nominal
-    # duration, not of a single bit.
-    if abs(length - nbits * bd) > 0.1 * nbits * bd:
-        raise DesyncError(f"segment of {length} samples is not close to {nbits} bits")
-
-    # Center the nominal-length slot grid in the measured segment so edge
-    # estimation bias cancels instead of rotating the carrier reference.
-    want = nbits * bd
-    if length >= want:
-        seg = seg[(length - want) // 2 : (length - want) // 2 + want]
-    else:
-        pad = want - length
-        seg = np.concatenate([np.zeros(pad // 2), seg, np.zeros(pad - pad // 2)])
-    slots = seg.reshape(nbits, bd)
-
-    t = np.arange(bd) / cfg.sample_rate
-    if cfg.scheme == "ask":
-        energy = np.mean(slots * slots, axis=1)
-        midpoint = (cfg.amp0**2 + cfg.amp1**2) / 4
-        return [int(e > midpoint) for e in energy]
-    if cfg.scheme == "fsk":
-        mags = []
-        for f in (cfg.freq0_hz, cfg.freq1_hz):
-            c = slots @ np.cos(2 * np.pi * f * t)
-            s = slots @ np.sin(2 * np.pi * f * t)
-            mags.append(c * c + s * s)
-        return [int(m1 > m0) for m0, m1 in zip(*mags)]
-    corr = slots @ np.sin(2 * np.pi * cfg.carrier_hz * t)
-    return [int(c < 0) for c in corr]
+        a = max(s - w, 0)
+        first = hot[a : s + w]
+        i = int(first.argmax())
+        starts.append(a + i if first[i] else s)
+        a = max(e - w, 0)
+        last = hot_end[a : e + w + 1]
+        j = len(last) - 1 - int(last[::-1].argmax())
+        stops.append(a + j if last[j] else e)
+    starts, stops = np.array(starts, dtype=np.intp), np.array(stops, dtype=np.intp)
+    keep = stops - starts >= cfg.bit_duration // 2
+    return starts[keep], stops[keep]
 
 
 def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
     """Recover the bit frame from a waveform produced with the same config.
 
-    Raises NoSignalError for an all-silent waveform, AmbiguousPauseError
-    when a silence length fits no pause kind, and DesyncError when an
-    active segment is far from a whole number of bits.
+    Raises ConfigInvalidError when the waveform's sample rate differs from
+    the config's, NoSignalError for an all-silent waveform,
+    AmbiguousPauseError when a silence length fits no pause kind, and
+    DesyncError when an active segment is far from a whole number of bits.
+    The first fault in wire order is raised, and its message ends with the
+    sample offset where it sits.
     """
+    if wave.sample_rate != cfg.sample_rate:
+        raise ConfigInvalidError(
+            f"waveform is sampled at {wave.sample_rate} Hz, "
+            f"config expects {cfg.sample_rate} Hz"
+        )
+    bd = cfg.bit_duration
     # Pad with silence so edge refinement behaves the same at the waveform
     # boundaries as between runs; otherwise the recentered slot grid of a
     # boundary run shifts by half the overshoot and rotates the carrier
     # phase under the correlators.
-    pad = max(8, cfg.bit_duration // 2)
+    pad = max(8, bd // 2)
     x = np.concatenate([np.zeros(pad), wave.samples, np.zeros(pad)])
-    power = x * x
-    cum = np.concatenate([[0.0], np.cumsum(power)])
-    segments = _active_segments(power, cum, cfg)
-    if not segments:
+    cum = np.concatenate([[0.0], np.cumsum(x * x)])
+    starts, stops = _active_segments(cum, cfg)
+    if not len(starts):
         raise NoSignalError("waveform carries no detectable signal")
 
-    elements: list[FrameElement] = []
-    for i, (s, e) in enumerate(segments):
-        if i:
-            gap = s - segments[i - 1][1]
-            elements.append(Pause(_classify_pause(gap, cfg)))
-        elements.append(Run(tuple(_decide_bits(x[s:e], cfg))))
+    lengths = stops - starts
+    nbits = np.maximum(1, np.rint(lengths / bd).astype(np.intp))
+    # Drift tolerance accumulates over the run: 10 percent of its nominal
+    # duration, not of a single bit.
+    desync = np.abs(lengths - nbits * bd) > 0.1 * nbits * bd
+    gaps = starts[1:] - stops[:-1]
+    durs = np.array(list(cfg.pause_samples.values()))
+    dist = np.abs(gaps[:, None] - durs)
+    fits = dist <= PAUSE_TOLERANCE * durs
+    # Nearest kind among those within tolerance. No tie is possible: kinds
+    # a < b both within tolerance of an equidistant gap need
+    # (b - a) / 2 <= PAUSE_TOLERANCE * a, i.e. b <= 1.8 a, and ModemConfig
+    # enforces b >= 2 a.
+    kinds = np.where(fits, dist, np.inf).argmin(axis=1)
 
+    # Wire order: run i is element 2i, the pause after it element 2i + 1.
+    faults = np.concatenate(
+        [2 * np.flatnonzero(desync), 2 * np.flatnonzero(~fits.any(axis=1)) + 1]
+    )
+    if len(faults):
+        k = int(faults.min())
+        i = k // 2
+        if k % 2:
+            at = max(int(stops[i]) - pad, 0)
+            raise AmbiguousPauseError(
+                f"silence of {gaps[i]} samples matches no configured pause at sample {at}"
+            )
+        at = max(int(starts[i]) - pad, 0)
+        raise DesyncError(
+            f"segment of {lengths[i]} samples is not close to {nbits[i]} bits at sample {at}"
+        )
+
+    # Center each run's nominal-length slot grid in its measured segment
+    # (halving the excess toward zero) so edge estimation bias cancels
+    # instead of rotating the carrier reference. Grid samples outside the
+    # segment read as silence.
+    excess = lengths - nbits * bd
+    grid = starts + np.sign(excess) * (np.abs(excess) // 2)
+    run = np.repeat(np.arange(len(starts)), nbits)
+    nth = np.arange(len(run)) - np.repeat(np.cumsum(nbits) - nbits, nbits)
+    idx = (grid[run] + nth * bd)[:, None] + np.arange(bd)
+    slots = x.take(idx, mode="clip")
+    slots[(idx < starts[run, None]) | (idx >= stops[run, None])] = 0.0
+
+    t = np.arange(bd) / cfg.sample_rate
+    if cfg.scheme == "ask":
+        bits = np.mean(slots * slots, axis=1) > (cfg.amp0**2 + cfg.amp1**2) / 4
+    elif cfg.scheme == "fsk":
+        mags = []
+        for f in (cfg.freq0_hz, cfg.freq1_hz):
+            c = slots @ np.cos(2 * np.pi * f * t)
+            s = slots @ np.sin(2 * np.pi * f * t)
+            mags.append(c * c + s * s)
+        bits = mags[1] > mags[0]
+    else:
+        bits = slots @ np.sin(2 * np.pi * cfg.carrier_hz * t) < 0
+
+    bits = bits.astype(np.int8).tolist()
+    ends = np.cumsum(nbits).tolist()
+    pauses = [Pause(kind) for kind in cfg.pause_samples]
+    elements: list[FrameElement] = [Run(tuple(bits[: ends[0]]))]
+    for kind, a, b in zip(kinds.tolist(), ends, ends[1:]):
+        elements += (pauses[kind], Run(tuple(bits[a:b])))
     return BitFrame(tuple(elements))
 
 

@@ -3,9 +3,9 @@ import numpy as np
 from conftest import fast_config
 from glyphwave.cli import main
 from glyphwave.framing import BitFrame, frame_to_text
-from glyphwave.modem import modulate, read_wav, save_config, write_wav
+from glyphwave.modem import ModemConfig, Waveform, modulate, read_wav, save_config, write_wav
 from glyphwave.notation import parse_dsl
-from glyphwave.pipeline import message_frame
+from glyphwave.pipeline import message_frame, transmit
 
 
 def test_encode_writes_pbm(tmp_path, capsys):
@@ -84,10 +84,15 @@ def test_receive_flags_corrected_decode(tmp_path, capsys):
 
 def test_receive_failure_exit_code(tmp_path, capsys):
     wav = tmp_path / "silence.wav"
-    from glyphwave.modem import Waveform
-
     write_wav(wav, Waveform(np.zeros(48000), 48000))
     assert main(["receive", str(wav)]) == 1
+
+
+def test_receive_rejects_other_sample_rate(tmp_path, capsys):
+    wav = tmp_path / "resampled.wav"
+    write_wav(wav, Waveform(transmit("vector form", ModemConfig()).samples, 44100))
+    assert main(["receive", str(wav)]) == 1
+    assert capsys.readouterr().err.startswith("decode failed:")
 
 
 def test_bad_dsl_exit_code(tmp_path, capsys):

@@ -125,16 +125,42 @@ class TestModulate:
         assert cross <= 1e-9
 
 
+def zero_run_edges(frame, cfg):
+    """Modulate the frame, then silence bit_duration // 16 samples at both
+    ends of every run: each measured segment comes out shorter than its
+    nominal slot grid, which the receiver fills with zeros."""
+    wave = modulate(frame, cfg)
+    cut = cfg.bit_duration // 16
+    pos = 0
+    for e in frame.elements:
+        if isinstance(e, Run):
+            end = pos + len(e.bits) * cfg.bit_duration
+            wave.samples[pos : pos + cut] = 0.0
+            wave.samples[end - cut : end] = 0.0
+            pos = end
+        else:
+            pos += cfg.pause_samples[e.kind]
+    return wave
+
+
+def psk_tone(cfg, n):
+    t = np.arange(n) / cfg.sample_rate
+    return np.sin(2 * np.pi * cfg.carrier_hz * t)
+
+
 class TestDemodulate:
     def test_round_trip_every_scheme_default_config(self):
         frame = one_glyph_frame()
         for scheme in ("ask", "fsk", "psk"):
             cfg = ModemConfig(scheme=scheme)
             assert demodulate(modulate(frame, cfg), cfg) == frame
+            assert demodulate(zero_run_edges(frame, cfg), cfg) == frame
 
     def test_round_trip_random_frames(self, rng):
         for scheme in ("ask", "fsk", "psk"):
             cfg = fast_config(scheme)
+            frame = one_glyph_frame()
+            assert demodulate(zero_run_edges(frame, cfg), cfg) == frame
             for _ in range(12):
                 n = int(rng.integers(1, 4))
                 rep = int(rng.integers(1, 3))
@@ -161,10 +187,39 @@ class TestDemodulate:
         for orig, inv in zip(frame.runs(), flipped.runs()):
             assert tuple(1 - b for b in orig.bits) == inv.bits
 
+    def test_sample_rate_mismatch(self):
+        cfg = ModemConfig()
+        wave = modulate(one_glyph_frame(), cfg)
+        for rate in (44100, 96000):
+            with pytest.raises(ConfigInvalidError, match=f"{rate} Hz.*48000 Hz"):
+                demodulate(Waveform(wave.samples, rate), cfg)
+
+    # Edge refinement moves a measured edge by less than one short window
+    # (bit_duration // 24 samples), so the reported offsets sit that close
+    # to the true ones.
+    def test_pause_fault_before_later_desync(self):
+        cfg = ModemConfig(scheme="psk")
+        tone = psk_tone(cfg, 720)
+        wave = Waveform(np.concatenate([tone[:480], np.zeros(780), tone]), cfg.sample_rate)
+        with pytest.raises(AmbiguousPauseError, match="silence of 743 samples") as err:
+            demodulate(wave, cfg)
+        at = int(str(err.value).rsplit(" at sample ", 1)[1])
+        assert abs(at - 480) <= cfg.bit_duration // 24
+
+    def test_desync_before_later_pause_fault(self):
+        cfg = ModemConfig(scheme="psk")
+        tone = psk_tone(cfg, 720)
+        wave = Waveform(np.concatenate([tone, np.zeros(780), tone[:480]]), cfg.sample_rate)
+        with pytest.raises(
+            DesyncError, match="segment of 757 samples is not close to 2 bits"
+        ) as err:
+            demodulate(wave, cfg)
+        at = int(str(err.value).rsplit(" at sample ", 1)[1])
+        assert abs(at - 0) <= cfg.bit_duration // 24
+
     def test_ambiguous_pause(self):
         cfg = ModemConfig(scheme="psk")
-        t = np.arange(cfg.bit_duration) / cfg.sample_rate
-        tone = np.sin(2 * np.pi * cfg.carrier_hz * t)
+        tone = psk_tone(cfg, cfg.bit_duration)
         # 780 samples of silence sits between the row and glyph windows
         # even after edge refinement trims a few samples from each side
         wave = Waveform(np.concatenate([tone, np.zeros(780), tone]), cfg.sample_rate)
@@ -173,9 +228,7 @@ class TestDemodulate:
 
     def test_desync_on_fractional_bits(self):
         cfg = ModemConfig(scheme="psk")
-        n = int(cfg.bit_duration * 1.5)
-        t = np.arange(n) / cfg.sample_rate
-        wave = Waveform(np.sin(2 * np.pi * cfg.carrier_hz * t), cfg.sample_rate)
+        wave = Waveform(psk_tone(cfg, int(cfg.bit_duration * 1.5)), cfg.sample_rate)
         with pytest.raises(DesyncError):
             demodulate(wave, cfg)
 
