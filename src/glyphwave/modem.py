@@ -176,16 +176,28 @@ def _bit_tables(cfg: ModemConfig) -> np.ndarray:
 
 def modulate(frame: BitFrame, cfg: ModemConfig) -> Waveform:
     """Turn a frame into a sampled waveform, runs as carrier, pauses as zeros."""
-    table = _bit_tables(cfg)
     pause_samples = cfg.pause_samples
-    parts = []
+    bits: list[int] = []
+    spans: list[int] = []
+    is_run: list[bool] = []
     for e in frame.elements:
         if isinstance(e, Run):
-            parts.append(table[np.asarray(e.bits, dtype=np.intp)].reshape(-1))
+            bits += e.bits
+            spans.append(len(e.bits) * cfg.bit_duration)
+            is_run.append(True)
         else:
-            parts.append(np.zeros(pause_samples[e.kind]))
-    samples = np.concatenate(parts) if parts else np.zeros(0)
-    return Waveform(samples, cfg.sample_rate)
+            spans.append(pause_samples[e.kind])
+            is_run.append(False)
+    # Every run and pause is a whole number of g-sample chunks, so the
+    # waveform is one gather of chunk rows: k rows per bit burst and a
+    # silent row for every pause chunk.
+    g = math.gcd(cfg.bit_duration, *pause_samples.values())
+    k = cfg.bit_duration // g
+    chunks = np.concatenate([_bit_tables(cfg).reshape(2 * k, g), np.zeros((1, g))])
+    on = np.repeat(np.array(is_run, dtype=bool), np.array(spans, dtype=np.intp) // g)
+    rows = np.full(len(on), 2 * k)
+    rows[on] = (np.array(bits, dtype=np.intp)[:, None] * k + np.arange(k)).reshape(-1)
+    return Waveform(chunks[rows].reshape(-1), cfg.sample_rate)
 
 
 def _active_segments(cum: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +221,6 @@ def _active_segments(cum: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.
         thr_p = max(floor_p, math.sqrt(max(lo, 0.0) * hi))
 
     edges = np.diff(np.concatenate(([0], (block_p > thr_p).astype(np.int8), [0])))
-    coarse = zip(bounds[edges == 1].tolist(), bounds[edges == -1].tolist())
 
     # Edge refinement pairs a short window (timing precision, overshoot
     # into silence under sw per side, inside the 10 percent drift budget)
@@ -221,22 +232,25 @@ def _active_segments(cum: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.
     cw = max(sw, cfg.bit_duration // 4)
     short = (cum[sw:] - cum[:-sw]) / sw > thr_p
     confirm = (cum[cw:] - cum[:-cw]) / cw > thr_p
-    # hot[i]: both windows starting at sample i are hot; hot_end[i]: both
-    # windows ending at sample i are.
-    hot = short[: len(confirm)] & confirm
-    hot_end = np.concatenate([np.zeros(cw, bool), short[cw - sw :] & confirm])
+    # hot[w + i]: both windows starting at sample i are hot; hot_end[w + i]:
+    # both windows ending at sample i are. False padding (w per side, more
+    # past the end of hot, where no window starts) makes every edge's search
+    # window a full-width row with the same first and last True as the
+    # window clipped at the waveform ends.
+    pad = np.zeros(w, bool)
+    hot = np.concatenate([pad, short[: len(confirm)] & confirm, np.zeros(cw + w, bool)])
+    hot_end = np.concatenate([np.zeros(w + cw, bool), short[cw - sw :] & confirm, pad])
 
-    starts, stops = [], []
-    for s, e in coarse:
-        a = max(s - w, 0)
-        first = hot[a : s + w]
-        i = int(first.argmax())
-        starts.append(a + i if first[i] else s)
-        a = max(e - w, 0)
-        last = hot_end[a : e + w + 1]
-        j = len(last) - 1 - int(last[::-1].argmax())
-        stops.append(a + j if last[j] else e)
-    starts, stops = np.array(starts, dtype=np.intp), np.array(stops, dtype=np.intp)
+    # The start search window is [s - w, s + w), the stop one [e - w, e + w];
+    # an edge whose window holds no True keeps its coarse position.
+    s, e = bounds[edges == 1], bounds[edges == -1]
+    rows = np.arange(len(s))
+    first = hot[s[:, None] + np.arange(2 * w)]
+    i = first.argmax(axis=1)
+    starts = np.where(first[rows, i], s - w + i, s)
+    last = hot_end[e[:, None] + np.arange(2 * w, -1, -1)]
+    j = last.argmax(axis=1)
+    stops = np.where(last[rows, j], e + w - j, e)
     keep = stops - starts >= cfg.bit_duration // 2
     return starts[keep], stops[keep]
 
@@ -353,13 +367,18 @@ def write_wav(path: str | Path, wave: Waveform) -> None:
 
 
 def read_wav(path: str | Path) -> Waveform:
+    """Read mono 16-bit PCM; an unreadable or truncated WAV file is a ValueError."""
     import wave as wave_mod
 
-    with wave_mod.open(str(path), "rb") as f:
-        if f.getnchannels() != 1 or f.getsampwidth() != 2:
-            raise ValueError("expected mono 16-bit PCM")
-        rate = f.getframerate()
-        raw = f.readframes(f.getnframes())
+    try:
+        with wave_mod.open(str(path), "rb") as f:
+            if f.getnchannels() != 1 or f.getsampwidth() != 2:
+                raise ValueError("expected mono 16-bit PCM")
+            rate = f.getframerate()
+            raw = f.readframes(f.getnframes())
+    except (EOFError, wave_mod.Error) as err:
+        detail = str(err) or "file ends early"
+        raise ValueError(f"cannot read {path} as a WAV file: {detail}") from err
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / FULL_SCALE
     return Waveform(samples, rate)
 

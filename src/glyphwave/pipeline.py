@@ -65,16 +65,49 @@ def apply_channel(wave: Waveform, ch: ChannelConfig) -> Waveform:
     out = ch.gain * wave.samples
     if ch.snr_db is None:
         return Waveform(out, wave.sample_rate)
-    # Pauses are exact zeros before noise; dilate the non-zero mask a few
-    # samples so in-carrier zero crossings do not bias the reference RMS.
-    nonzero = (out != 0).astype(np.float64)
-    active = np.convolve(nonzero, np.ones(17), mode="same") > 0
+    # Pauses are exact zeros before noise; dilate the non-zero mask 8 samples
+    # each way so in-carrier zero crossings do not bias the reference RMS.
+    # counts[i + 17] - counts[i] is the number of non-zero samples in
+    # [i - 8, i + 8], counted exactly at any length.
+    padded = np.concatenate([np.zeros(9, bool), out != 0, np.zeros(8, bool)])
+    counts = np.cumsum(padded)
+    active = counts[17:] - counts[:-17] > 0
     if not np.any(active):
         return Waveform(out, wave.sample_rate)
     signal_rms = float(np.sqrt(np.mean(out[active] ** 2)))
     sigma = signal_rms * 10 ** (-ch.snr_db / 20)
     rng = np.random.default_rng(ch.seed)
     return Waveform(out + rng.normal(0.0, sigma, len(out)), wave.sample_rate)
+
+
+def recognize_glyphs(
+    payloads: np.ndarray, dims: tuple[int, int] = DEFAULT_DIMS
+) -> tuple[list[tuple[Glyph, int, int]], list[tuple[int, AmbiguousGlyphError]]]:
+    """Nearest canonical glyph of every row of a (n_glyphs, width * height)
+    payload by Hamming distance, with the runner-up distance.
+
+    Returns the matches of the recognized rows and, in row order, an
+    AmbiguousGlyphError for each row with a tie for nearest, rather than
+    a guess.
+    """
+    table = registry_for(dims)
+    width, height = dims
+    if payloads.shape[1] != width * height:
+        raise LengthMismatchError(
+            f"payload has {payloads.shape[1]} bits, grid wants {width * height}"
+        )
+    glyphs = list(table)
+    pixels = np.array([bm.pixels for bm in table.values()], dtype=np.uint8)
+    dist = (payloads[:, None, :] != pixels).sum(axis=2)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :2]
+    best, second = np.take_along_axis(dist, order, axis=1).T.tolist()
+    matches, failures = [], []
+    for row, (g, d, runner) in enumerate(zip(order[:, 0].tolist(), best, second)):
+        if d == runner:
+            failures.append((row, AmbiguousGlyphError(f"payload is {d} flips from two glyphs")))
+        else:
+            matches.append((glyphs[g], d, runner))
+    return matches, failures
 
 
 def recognize_glyph(
@@ -84,16 +117,10 @@ def recognize_glyph(
 
     A tie for nearest raises AmbiguousGlyphError rather than guessing.
     """
-    table = registry_for(dims)
-    width, height = dims
-    if len(bits) != width * height:
-        raise LengthMismatchError(f"payload has {len(bits)} bits, grid wants {width * height}")
-    pixels = np.array([bm.pixels for bm in table.values()], dtype=np.uint8)
-    dist = (pixels != np.asarray(bits)).sum(axis=1)
-    best, second = np.argsort(dist, kind="stable")[:2]
-    if dist[best] == dist[second]:
-        raise AmbiguousGlyphError(f"payload is {dist[best]} flips from two glyphs")
-    return list(table)[best], int(dist[best]), int(dist[second])
+    matches, failures = recognize_glyphs(np.asarray(bits).reshape(1, -1), dims)
+    if failures:
+        raise failures[0][1]
+    return matches[0]
 
 
 _SPACETIME_PATTERN = tuple(glyph_sequence(SPACETIME))
@@ -181,8 +208,8 @@ def message_frame(
     msg: Message, repetition: int = 1, dims: tuple[int, int] = DEFAULT_DIMS
 ) -> BitFrame:
     glyphs = message_glyphs(msg)
-    bits = [serialize_glyph(bitmap_of(g, dims)) for g in glyphs]
-    return frame_message(bits, repetition, dims)
+    bits_of = {g: serialize_glyph(bitmap_of(g, dims)) for g in dict.fromkeys(glyphs)}
+    return frame_message([bits_of[g] for g in glyphs], repetition, dims)
 
 
 def transmit(
@@ -223,29 +250,18 @@ def receive(wave: Waveform, cfg: ModemConfig | None = None) -> DecodeReport:
     cfg = cfg or ModemConfig()
     info, payloads = read_frame(demodulate(wave, cfg))
     vote = majority_vote(payloads)
-    corrected = int((payloads != np.array(vote.payload)).any(axis=0).sum())
-
-    per_glyph = []
-    failures: list[tuple[int, Exception]] = []
-    glyphs: list[Glyph] = []
-    n = info.width * info.height
-    for gi in range(info.n_glyphs):
-        chunk = vote.payload[gi * n : (gi + 1) * n]
-        try:
-            g, d, runner = recognize_glyph(chunk, (info.width, info.height))
-        except AmbiguousGlyphError as err:
-            failures.append((gi, err))
-            continue
-        glyphs.append(g)
-        per_glyph.append((g, d, runner))
+    voted = np.array(vote.payload)
+    corrected = int((payloads != voted).any(axis=0).sum())
+    dims = (info.width, info.height)
+    per_glyph, failures = recognize_glyphs(voted.reshape(info.n_glyphs, -1), dims)
     if failures:
         raise UnrecoverableMessageError(failures)
 
-    message = parse_glyphs_to_message(glyphs)
+    message = parse_glyphs_to_message([g for g, _, _ in per_glyph])
     return DecodeReport(
         message=message,
         dsl_text=print_dsl(message),
-        dims=(info.width, info.height),
+        dims=dims,
         n_glyphs=info.n_glyphs,
         repetition=info.repetition,
         per_glyph=tuple(per_glyph),

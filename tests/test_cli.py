@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import fast_config
 from glyphwave.cli import main
@@ -93,6 +94,29 @@ def test_receive_rejects_other_sample_rate(tmp_path, capsys):
     write_wav(wav, Waveform(transmit("vector form", ModemConfig()).samples, 44100))
     assert main(["receive", str(wav)]) == 1
     assert capsys.readouterr().err.startswith("decode failed:")
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [(b"", "file ends early"), (b"not a riff header\n", "file does not start with RIFF id")],
+    ids=["empty", "not-riff"],
+)
+def test_unreadable_wav_is_reported(tmp_path, capsys, content, detail):
+    wav = tmp_path / "bad.wav"
+    wav.write_bytes(content)
+    reason = f"cannot read {wav} as a WAV file: {detail}\n"
+    assert main(["receive", str(wav), "--scheme", "fsk"]) == 1
+    assert capsys.readouterr().err == f"decode failed: {reason}"
+    assert main(["channel", str(wav), "--snr", "10", "--out", str(tmp_path / "out.wav")]) == 1
+    assert capsys.readouterr().err == f"error: {reason}"
+
+
+def test_channel_on_short_wav(tmp_path, capsys):
+    wav = tmp_path / "short.wav"
+    out = tmp_path / "noisy.wav"
+    write_wav(wav, Waveform(np.full(10, 0.5), 48000))
+    assert main(["channel", str(wav), "--snr", "20", "--seed", "1", "--out", str(out)]) == 0
+    assert len(read_wav(out).samples) == 10
 
 
 def test_bad_dsl_exit_code(tmp_path, capsys):

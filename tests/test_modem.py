@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from glyphwave.modem import (
     ModemConfig,
     NoSignalError,
     Waveform,
+    _active_segments,
+    _bit_tables,
     demodulate,
     load_config,
     modulate,
@@ -69,7 +73,53 @@ def one_glyph_frame(bits=(0, 1) * 17 + (1,)):
     return frame_message([GlyphBits(rows)], 1, (5, 7))
 
 
+def loop_modulate(frame, cfg):
+    """Reference: modulate one frame element at a time."""
+    table = _bit_tables(cfg)
+    parts = []
+    for e in frame.elements:
+        if isinstance(e, Run):
+            parts.append(table[np.asarray(e.bits, dtype=np.intp)].reshape(-1))
+        else:
+            parts.append(np.zeros(cfg.pause_samples[e.kind]))
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def random_run_frame(rng, max_runs=12, max_bits=13):
+    """Runs of 1..max_bits random bits joined by random pause kinds."""
+    kinds = list(PauseKind)
+    elements = []
+    for i in range(int(rng.integers(1, max_runs + 1))):
+        if i:
+            elements.append(Pause(kinds[int(rng.integers(len(kinds)))]))
+        n = int(rng.integers(1, max_bits + 1))
+        elements.append(Run(tuple(int(b) for b in rng.integers(0, 2, n))))
+    return BitFrame(tuple(elements))
+
+
 class TestModulate:
+    def test_matches_per_element_loop(self, rng):
+        frames = [
+            BitFrame(()),
+            BitFrame((Pause(PauseKind.ROW),)),
+            BitFrame((Pause(PauseKind.GLYPH), Pause(PauseKind.MESSAGE))),
+            BitFrame((Run((1,)),)),
+            BitFrame((Run((0,)), Pause(PauseKind.ROW), Run((1,)), Pause(PauseKind.MESSAGE))),
+            one_glyph_frame(),
+        ] + [random_run_frame(rng) for _ in range(20)]
+        configs = [fast_config(s) for s in ("ask", "fsk", "psk")]
+        configs += [ModemConfig(scheme="ask", amp0=0.0), ModemConfig(scheme="psk")]
+        # pauses that are not whole bits: 24- and 1-sample common divisors
+        configs += [fast_config("psk", pause_row=120), fast_config("fsk", pause_row=97)]
+        for cfg in configs:
+            for frame in frames:
+                got = modulate(frame, cfg).samples
+                want = loop_modulate(frame, cfg)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+                # on-off keying has negative zeros inside its zero bits
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_pause_only_frame(self):
         cfg = ModemConfig()
         wave = modulate(BitFrame((Pause(PauseKind.ROW),)), cfg)
@@ -148,7 +198,78 @@ def psk_tone(cfg, n):
     return np.sin(2 * np.pi * cfg.carrier_hz * t)
 
 
+def loop_active_segments(cum, cfg):
+    """Reference: the segmentation with one slice and argmax per edge."""
+    n = len(cum) - 1
+    w = max(8, cfg.bit_duration // 2)
+    bounds = np.append(np.arange(0, n, w), n)
+    block_p = np.diff(cum[bounds]) / np.diff(bounds)
+    floor_p = (cfg.peak_amplitude / 20) ** 2
+    thr_p = floor_p
+    lo = float(np.percentile(block_p, 5))
+    hi = float(np.percentile(block_p, 90))
+    if hi > 0 and lo < hi / 4:
+        thr_p = max(floor_p, math.sqrt(max(lo, 0.0) * hi))
+    edges = np.diff(np.concatenate(([0], (block_p > thr_p).astype(np.int8), [0])))
+    coarse = zip(bounds[edges == 1].tolist(), bounds[edges == -1].tolist())
+    sw = max(2, cfg.bit_duration // 24)
+    cw = max(sw, cfg.bit_duration // 4)
+    short = (cum[sw:] - cum[:-sw]) / sw > thr_p
+    confirm = (cum[cw:] - cum[:-cw]) / cw > thr_p
+    hot = short[: len(confirm)] & confirm
+    hot_end = np.concatenate([np.zeros(cw, bool), short[cw - sw :] & confirm])
+    starts, stops = [], []
+    for s, e in coarse:
+        a = max(s - w, 0)
+        first = hot[a : s + w]
+        i = int(first.argmax())
+        starts.append(a + i if first[i] else s)
+        a = max(e - w, 0)
+        last = hot_end[a : e + w + 1]
+        j = len(last) - 1 - int(last[::-1].argmax())
+        stops.append(a + j if last[j] else e)
+    starts, stops = np.array(starts, dtype=np.intp), np.array(stops, dtype=np.intp)
+    keep = stops - starts >= cfg.bit_duration // 2
+    return starts[keep], stops[keep]
+
+
+def energy_cumsum(x):
+    return np.concatenate([[0.0], np.cumsum(x * x)])
+
+
 class TestDemodulate:
+    def test_edge_refinement_matches_per_segment_loop(self, rng):
+        configs = [fast_config(s) for s in ("ask", "fsk", "psk")] + [ModemConfig(scheme="fsk")]
+        # zero bits whose power sits between half and all of the floor
+        # threshold: blocks holding a few of them read silent, windows not
+        configs.append(fast_config("ask", amp0=0.09))
+        clipped = 0
+        for cfg in configs:
+            w = max(8, cfg.bit_duration // 2)
+            for _ in range(24):
+                frame = random_run_frame(rng, max_bits=5)
+                while len(frame.elements) < 5:
+                    frame = random_run_frame(rng, max_bits=5)
+                x = modulate(frame, cfg).samples
+                # start and end mid-run, so carrier fills the first and the
+                # last block and both search windows are clipped
+                lead, trail = rng.integers(1, cfg.bit_duration, 2)
+                x = x[int(lead) : -int(trail)]
+                x = x + rng.normal(0, float(rng.uniform(0.01, 0.5)), len(x))
+                at = int(rng.integers(len(x)))
+                x[at : at + int(rng.integers(1, 40))] += rng.normal(0, 3)  # a click
+                for pad in (0, w):
+                    cum = energy_cumsum(np.pad(x, pad))
+                    got, want = _active_segments(cum, cfg), loop_active_segments(cum, cfg)
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                    assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+                    if not pad:
+                        clipped += int(want[0][0] < w and want[1][-1] > len(x) - w)
+            for x in (np.zeros(10 * cfg.bit_duration), rng.normal(0, 1e-3, 10 * cfg.bit_duration)):
+                got = _active_segments(energy_cumsum(x), cfg)
+                assert len(got[0]) == len(got[1]) == 0
+        assert clipped >= 48
+
     def test_round_trip_every_scheme_default_config(self):
         frame = one_glyph_frame()
         for scheme in ("ask", "fsk", "psk"):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import fast_config
-from glyphwave.framing import BitFrame, LengthMismatchError, read_frame
-from glyphwave.glyphs import Glyph, bitmap_of
-from glyphwave.modem import ModemConfig, demodulate, modulate
+from glyphwave.framing import BitFrame, LengthMismatchError, frame_message, read_frame
+from glyphwave.glyphs import Glyph, bitmap_of, registry_for
+from glyphwave.modem import ModemConfig, Waveform, demodulate, modulate
 from glyphwave.notation import DslSyntaxError, canonical_messages, parse_dsl, print_dsl
 from glyphwave.pipeline import (
     AmbiguousGlyphError,
@@ -17,9 +17,49 @@ from glyphwave.pipeline import (
     parse_glyphs_to_message,
     receive,
     recognize_glyph,
+    recognize_glyphs,
     transmit,
 )
-from glyphwave.raster import serialize_glyph
+from glyphwave.raster import GlyphBits, serialize_glyph
+
+
+def convolve_apply_channel(wave, ch):
+    """Reference: the channel with its active mask from a float convolution."""
+    out = ch.gain * wave.samples
+    nonzero = (out != 0).astype(np.float64)
+    active = np.convolve(nonzero, np.ones(17), mode="same") > 0
+    if not np.any(active):
+        return out
+    signal_rms = float(np.sqrt(np.mean(out[active] ** 2)))
+    sigma = signal_rms * 10 ** (-ch.snr_db / 20)
+    rng = np.random.default_rng(ch.seed)
+    return out + rng.normal(0.0, sigma, len(out))
+
+
+def one_glyph_recognizer(bits, dims=(5, 7)):
+    """Reference: nearest glyph of one payload, a tie raising."""
+    table = registry_for(dims)
+    pixels = np.array([bm.pixels for bm in table.values()], dtype=np.uint8)
+    dist = (pixels != np.asarray(bits)).sum(axis=1)
+    best, second = np.argsort(dist, kind="stable")[:2]
+    if dist[best] == dist[second]:
+        raise AmbiguousGlyphError(f"payload is {dist[best]} flips from two glyphs")
+    return list(table)[best], int(dist[best]), int(dist[second])
+
+
+def glyph_rows(payload) -> GlyphBits:
+    return GlyphBits(tuple(tuple(payload[r * 5 : (r + 1) * 5]) for r in range(7)))
+
+
+def halfway(a: Glyph, b: Glyph) -> tuple[int, ...]:
+    """A payload as many flips from glyph a as from glyph b."""
+    pa = serialize_glyph(bitmap_of(a)).flatten()
+    pb = serialize_glyph(bitmap_of(b)).flatten()
+    diff = [i for i in range(35) if pa[i] != pb[i]]
+    payload = list(pa)
+    for i in diff[: len(diff) // 2]:
+        payload[i] = pb[i]
+    return tuple(payload)
 
 
 class TestChannel:
@@ -53,6 +93,30 @@ class TestChannel:
             / np.sqrt(np.mean(noise[active] ** 2))
         )
         assert abs(measured - 40) < 1.0
+
+    def test_short_waveforms_keep_their_length(self, rng):
+        for n in range(1, 21):
+            wave = Waveform(rng.uniform(-1, 1, n), 48000)
+            out = apply_channel(wave, ChannelConfig(snr_db=10, seed=n))
+            assert len(out.samples) == n
+            assert not np.array_equal(out.samples, wave.samples)
+
+    def test_active_mask_matches_convolution(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(17, 400))
+            x = np.where(rng.random(n) < rng.uniform(0.005, 0.2), rng.normal(0, 1, n), 0.0)
+            ch = ChannelConfig(snr_db=float(rng.uniform(0, 30)), seed=int(rng.integers(2**31)))
+            got = apply_channel(Waveform(x, 48000), ch).samples
+            assert np.array_equal(got, convolve_apply_channel(Waveform(x, 48000), ch))
+
+    def test_seeded_output_unchanged(self):
+        for scheme in ("ask", "fsk", "psk"):
+            wave = transmit("em", fast_config(scheme), repetition=3)
+            ch = ChannelConfig(snr_db=12, gain=0.8, seed=31)
+            got = apply_channel(wave, ch).samples
+            want = convolve_apply_channel(wave, ch)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_gain_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -89,6 +153,34 @@ class TestRecognize:
             payload[i] = b[i]
         with pytest.raises(AmbiguousGlyphError):
             recognize_glyph(tuple(payload))
+
+    def test_batch_matches_one_glyph_recognizer(self, rng):
+        glyphs = list(Glyph)
+        payloads = [serialize_glyph(bitmap_of(g)).flatten() for g in glyphs]
+        payloads += [halfway(a, b) for a in glyphs for b in glyphs if a is not b]
+        payloads += [tuple(int(b) for b in rng.integers(0, 2, 35)) for _ in range(300)]
+        order = rng.permutation(len(payloads))
+        batch = np.array(payloads, dtype=np.uint8)[order]
+        matches, failures = recognize_glyphs(batch)
+        want_matches, want_failures = [], []
+        for row, bits in enumerate(batch.tolist()):
+            try:
+                want_matches.append(one_glyph_recognizer(bits))
+            except AmbiguousGlyphError as err:
+                want_failures.append((row, str(err)))
+        assert want_failures  # the halfway payloads tie
+        assert matches == want_matches
+        assert [(row, str(err)) for row, err in failures] == want_failures
+        assert all(type(err) is AmbiguousGlyphError for _, err in failures)
+        for bits in batch[:40].tolist():
+            try:
+                want = one_glyph_recognizer(bits)
+            except AmbiguousGlyphError as err:
+                with pytest.raises(AmbiguousGlyphError) as exc:
+                    recognize_glyph(tuple(bits))
+                assert str(exc.value) == str(err)
+            else:
+                assert recognize_glyph(tuple(bits)) == want
 
     def test_length_check(self):
         with pytest.raises(LengthMismatchError):
@@ -219,18 +311,26 @@ class TestTransmitReceive:
         assert report.tie_flags == 0
 
     def test_unrecoverable_glyph(self):
-        cfg = fast_config("fsk")
-        a = serialize_glyph(bitmap_of(Glyph.LPAREN)).flatten()
-        b = serialize_glyph(bitmap_of(Glyph.RPAREN)).flatten()
-        diff = [i for i in range(35) if a[i] != b[i]]
-        payload = list(a)
-        for i in diff[: len(diff) // 2]:
-            payload[i] = b[i]
-        rows = tuple(tuple(payload[r * 5 : (r + 1) * 5]) for r in range(7))
-        from glyphwave.framing import frame_message
-        from glyphwave.raster import GlyphBits
-
-        frame = frame_message([GlyphBits(rows)], 1, (5, 7))
-        with pytest.raises(UnrecoverableMessageError) as exc:
-            receive(modulate(frame, cfg), cfg)
-        assert exc.value.failures[0][0] == 0
+        several = [
+            halfway(Glyph.LPAREN, Glyph.RPAREN),
+            serialize_glyph(bitmap_of(Glyph.BLANK)).flatten(),
+            halfway(Glyph.ARROW_UP, Glyph.ARROW_DOWN),
+            halfway(Glyph.TILDE_UPPER, Glyph.POINT_DOT),  # nearest blank, no tie
+        ]
+        cases = [("fsk", [halfway(Glyph.LPAREN, Glyph.RPAREN)], 1, [0]), ("psk", several, 3, [0, 2])]
+        for scheme, payloads, rep, positions in cases:
+            cfg = fast_config(scheme)
+            frame = frame_message([glyph_rows(p) for p in payloads], rep, (5, 7))
+            with pytest.raises(UnrecoverableMessageError) as exc:
+                receive(modulate(frame, cfg), cfg)
+            want = []
+            for gi, bits in enumerate(payloads):
+                try:
+                    one_glyph_recognizer(bits)
+                except AmbiguousGlyphError as err:
+                    want.append((gi, str(err)))
+            assert [gi for gi, _ in want] == positions
+            assert [(gi, str(err)) for gi, err in exc.value.failures] == want
+            assert str(exc.value) == "unrecoverable glyphs at positions " + ", ".join(
+                str(gi) for gi in positions
+            )
