@@ -10,10 +10,11 @@ any code overhead in the payload itself.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,30 +32,69 @@ class PauseKind(Enum):
 class Run:
     bits: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.bits:
-            raise ValueError("a run carries at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("run bits must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(self.bits))
-
 
 @dataclass(frozen=True)
 class Pause:
     kind: PauseKind
 
 
-FrameElement = Union[Run, Pause]
+_KINDS = tuple(PauseKind)
+_ROW, _GLYPH, _MESSAGE = range(len(_KINDS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitFrame:
-    """Framed message: runs of bits and typed pauses, in wire order."""
+    """Framed message in wire order, held as three read-only arrays.
 
-    elements: tuple[FrameElement, ...]
+    bits holds every run bit (uint8), run_lengths the length of each run
+    (intp), and pause_kinds the kind of the pause after each run but the
+    last, as an index into tuple(PauseKind) (int8). Runs and pauses
+    alternate by construction; a frame with no runs is empty.
+    """
 
-    def runs(self) -> list[Run]:
-        return [e for e in self.elements if isinstance(e, Run)]
+    bits: np.ndarray
+    run_lengths: np.ndarray
+    pause_kinds: np.ndarray
+
+    def __post_init__(self):
+        bits = np.asarray(self.bits)
+        lengths = np.asarray(self.run_lengths)
+        kinds = np.asarray(self.pause_kinds)
+        if bits.ndim != 1 or lengths.ndim != 1 or kinds.ndim != 1:
+            raise InconsistentFrameError("frame arrays must be one-dimensional")
+        if len(kinds) != max(len(lengths) - 1, 0):
+            raise InconsistentFrameError("runs and pauses must alternate")
+        if (lengths < 1).any():
+            raise ValueError("a run carries at least one bit")
+        if lengths.sum() != len(bits):
+            raise InconsistentFrameError("run lengths must add up to the bit count")
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError("run bits must be 0 or 1")
+        if ((kinds < 0) | (kinds >= len(_KINDS))).any():
+            raise ValueError(f"pause kinds must index {len(_KINDS)} kinds")
+        for name, a, dtype in (
+            ("bits", bits, np.uint8),
+            ("run_lengths", lengths, np.intp),
+            ("pause_kinds", kinds, np.int8),
+        ):
+            a = a.astype(dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __eq__(self, other):
+        if not isinstance(other, BitFrame):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    @property
+    def elements(self) -> tuple[Run | Pause, ...]:
+        """The frame as Run and Pause objects in wire order (a derived view)."""
+        out: list[Run | Pause] = []
+        for i, run in enumerate(np.split(self.bits, np.cumsum(self.run_lengths))[:-1]):
+            if i:
+                out.append(Pause(_KINDS[self.pause_kinds[i - 1]]))
+            out.append(Run(tuple(run.tolist())))
+        return tuple(out)
 
 
 class DimensionMismatchError(ValueError):
@@ -110,81 +150,58 @@ def frame_message(
                 f"glyph bits are {gb.width}x{gb.height}, frame wants {width}x{height}"
             )
 
-    copy: list[FrameElement] = []
-    for gi, gb in enumerate(glyph_bits):
-        if gi:
-            copy.append(Pause(PauseKind.GLYPH))
-        for ri, row in enumerate(gb.rows):
-            if ri:
-                copy.append(Pause(PauseKind.ROW))
-            copy.append(Run(row))
-
-    elements: list[FrameElement] = []
-    for ci in range(repetition):
-        if ci:
-            elements.append(Pause(PauseKind.MESSAGE))
-        elements.extend(copy)
-    return BitFrame(tuple(elements))
+    per_copy = len(glyph_bits) * height
+    rows = np.array([gb.rows for gb in glyph_bits], dtype=np.uint8)
+    # Row pauses inside a glyph, a glyph pause after its last row, and the
+    # last glyph pause of a copy turned into the message pause.
+    kinds = np.full(per_copy, _ROW, dtype=np.int8)
+    kinds[height - 1 :: height] = _GLYPH
+    kinds[-1] = _MESSAGE
+    return BitFrame(
+        np.tile(rows.reshape(-1), repetition),
+        np.full(per_copy * repetition, width),
+        np.tile(kinds, repetition)[:-1],
+    )
 
 
-def read_frame(frame: BitFrame | Sequence[FrameElement]) -> tuple[GridInfo, np.ndarray]:
-    """Validate the frame structure in one walk and return its payloads.
+def read_frame(frame: BitFrame) -> tuple[GridInfo, np.ndarray]:
+    """Validate the frame structure and return its payloads.
 
-    Runs must alternate with pauses; row pauses separate the rows of one
-    glyph block, glyph pauses the blocks, message pauses the copies. Pause
-    structure is authoritative; the prime factorization of the per-glyph
-    bit count is re-checked as an independent verification and any
-    disagreement is an error rather than a reinterpretation. The payloads
-    are a uint8 array of shape (repetition, n_glyphs * width * height),
-    one row of flat bits per copy in transmission order.
+    Row pauses separate the rows of one glyph block, glyph pauses the
+    blocks, message pauses the copies. Pause structure is authoritative;
+    the prime factorization of the per-glyph bit count is re-checked as an
+    independent verification and any disagreement is an error rather than
+    a reinterpretation. The payloads are a uint8 array of shape
+    (repetition, n_glyphs * width * height), one row of flat bits per copy
+    in transmission order.
     """
-    elements = frame.elements if isinstance(frame, BitFrame) else tuple(frame)
-    if not elements:
+    lengths, kinds = frame.run_lengths, frame.pause_kinds
+    if not len(lengths):
         raise InconsistentFrameError("empty frame")
-    if not isinstance(elements[0], Run) or not isinstance(elements[-1], Run):
-        raise InconsistentFrameError("frame must start and end with a run")
-    rows: list[tuple[int, ...]] = []
-    heights: set[int] = set()  # runs per glyph block
-    counts = [1]  # glyph blocks per copy
-    block = 0
-    prev_run = False
-    for e in elements:
-        if isinstance(e, Run):
-            if prev_run:
-                raise InconsistentFrameError("adjacent runs without a pause")
-            rows.append(e.bits)
-            block += 1
-            prev_run = True
-        else:
-            if not prev_run:
-                raise InconsistentFrameError("adjacent pauses")
-            if e.kind is not PauseKind.ROW:
-                heights.add(block)
-                block = 0
-                if e.kind is PauseKind.MESSAGE:
-                    counts.append(1)
-                else:
-                    counts[-1] += 1
-            prev_run = False
-    heights.add(block)
+    # Pause i follows run i; a non-row pause closes a glyph block and a
+    # message pause also closes a copy.
+    breaks = np.flatnonzero(kinds != _ROW)
+    heights = np.diff(breaks, prepend=-1, append=len(lengths) - 1)
+    copy_ends = np.flatnonzero(kinds[breaks] == _MESSAGE)
+    counts = np.diff(copy_ends, prepend=-1, append=len(breaks)).tolist()
 
-    widths = {len(r) for r in rows}
+    widths = np.unique(lengths).tolist()
     if len(widths) != 1:
-        raise InconsistentFrameError(f"mixed run lengths {sorted(widths)}")
-    width = widths.pop()
+        raise InconsistentFrameError(f"mixed run lengths {widths}")
+    width = widths[0]
+    heights = np.unique(heights).tolist()
     if len(heights) != 1:
-        raise InconsistentFrameError(f"mixed glyph block heights {sorted(heights)}")
-    height = heights.pop()
+        raise InconsistentFrameError(f"mixed glyph block heights {heights}")
+    height = heights[0]
 
     if not is_prime(width) or not is_prime(height):
         raise NonPrimeDimensionsError(f"observed grid {width}x{height} is not a prime pair")
 
-    bits = np.array(rows, dtype=np.uint8).reshape(-1)
     n_glyphs = counts[0]
     if any(c != n_glyphs for c in counts):
         # Vote over the copies that share the most common glyph count.
         common = Counter(counts).most_common(1)[0][0]
-        copies = np.split(bits, np.cumsum(counts)[:-1] * width * height)
+        copies = np.split(frame.bits, np.cumsum(counts)[:-1] * width * height)
         good = [c for c, n in zip(copies, counts) if n == common]
         raise RepetitionMismatchError(
             f"copies disagree on glyph count: {counts}",
@@ -197,10 +214,10 @@ def read_frame(frame: BitFrame | Sequence[FrameElement]) -> tuple[GridInfo, np.n
             f"per-glyph bit count {per_glyph} does not factor as {width}x{height}"
         )
     info = GridInfo(width, height, n_glyphs, len(counts))
-    return info, bits.reshape(len(counts), -1)
+    return info, frame.bits.reshape(len(counts), -1)
 
 
-def infer_grid(frame: BitFrame | Sequence[FrameElement]) -> GridInfo:
+def infer_grid(frame: BitFrame) -> GridInfo:
     """Recover (width, height, n_glyphs, repetition) from frame structure."""
     return read_frame(frame)[0]
 
@@ -245,14 +262,12 @@ def majority_vote(copies: Sequence[Sequence[int]]) -> MajorityResult:
 
 
 _PAUSE_TEXT = {PauseKind.ROW: "/", PauseKind.GLYPH: "//", PauseKind.MESSAGE: "///"}
-_TEXT_PAUSE = {v: k for k, v in _PAUSE_TEXT.items()}
 
 
-def frame_to_text(frame: BitFrame | Sequence[FrameElement]) -> str:
+def frame_to_text(frame: BitFrame) -> str:
     """Compact dump: runs as 0/1 digits, pauses as /, //, ///."""
-    elements = frame.elements if isinstance(frame, BitFrame) else tuple(frame)
     out = []
-    for e in elements:
+    for e in frame.elements:
         if isinstance(e, Run):
             out.append("".join(str(b) for b in e.bits))
         else:
@@ -265,23 +280,14 @@ def frame_from_text(text: str) -> BitFrame:
     text = text.strip()
     if not text:
         raise ValueError("empty frame dump")
-    elements: list[FrameElement] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        j = i
-        if ch == "/":
-            while j < len(text) and text[j] == "/":
-                j += 1
-            slashes = text[i:j]
-            if slashes not in _TEXT_PAUSE:
-                raise ValueError(f"bad pause marker {slashes!r} at offset {i}")
-            elements.append(Pause(_TEXT_PAUSE[slashes]))
-        elif ch in "01":
-            while j < len(text) and text[j] in "01":
-                j += 1
-            elements.append(Run(tuple(int(b) for b in text[i:j])))
-        else:
-            raise ValueError(f"unexpected character {ch!r} at offset {i}")
-        i = j
-    return BitFrame(tuple(elements))
+    bad = re.search(r"[^01/]|/{4,}", text)
+    if bad:
+        what = "bad pause marker" if bad.group()[0] == "/" else "unexpected character"
+        raise ValueError(f"{what} {bad.group()!r} at offset {bad.start()}")
+    if text[0] == "/" or text[-1] == "/":
+        raise InconsistentFrameError("frame must start and end with a run")
+    runs = re.split("/+", text)
+    bits = np.frombuffer("".join(runs).encode(), dtype=np.uint8) - ord("0")
+    # One to three slashes mark the kinds in tuple(PauseKind) order.
+    kinds = [len(p) - 1 for p in re.findall("/+", text)]
+    return BitFrame(bits, [len(r) for r in runs], kinds)

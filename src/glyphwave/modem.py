@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .framing import BitFrame, FrameElement, Pause, PauseKind, Run
+from .framing import BitFrame, PauseKind
 
 SCHEMES = ("ask", "fsk", "psk")
 
@@ -176,27 +176,20 @@ def _bit_tables(cfg: ModemConfig) -> np.ndarray:
 
 def modulate(frame: BitFrame, cfg: ModemConfig) -> Waveform:
     """Turn a frame into a sampled waveform, runs as carrier, pauses as zeros."""
-    pause_samples = cfg.pause_samples
-    bits: list[int] = []
-    spans: list[int] = []
-    is_run: list[bool] = []
-    for e in frame.elements:
-        if isinstance(e, Run):
-            bits += e.bits
-            spans.append(len(e.bits) * cfg.bit_duration)
-            is_run.append(True)
-        else:
-            spans.append(pause_samples[e.kind])
-            is_run.append(False)
+    pause_samples = list(cfg.pause_samples.values())
     # Every run and pause is a whole number of g-sample chunks, so the
     # waveform is one gather of chunk rows: k rows per bit burst and a
-    # silent row for every pause chunk.
-    g = math.gcd(cfg.bit_duration, *pause_samples.values())
+    # silent row for every pause chunk. Runs and pauses alternate, runs at
+    # the even spans.
+    g = math.gcd(cfg.bit_duration, *pause_samples)
     k = cfg.bit_duration // g
     chunks = np.concatenate([_bit_tables(cfg).reshape(2 * k, g), np.zeros((1, g))])
-    on = np.repeat(np.array(is_run, dtype=bool), np.array(spans, dtype=np.intp) // g)
+    spans = np.zeros(max(2 * len(frame.run_lengths) - 1, 0), dtype=np.intp)
+    spans[0::2] = frame.run_lengths * k
+    spans[1::2] = np.array(pause_samples)[frame.pause_kinds] // g
+    on = np.repeat(np.arange(len(spans)) % 2 == 0, spans)
     rows = np.full(len(on), 2 * k)
-    rows[on] = (np.array(bits, dtype=np.intp)[:, None] * k + np.arange(k)).reshape(-1)
+    rows[on] = (frame.bits.astype(np.intp)[:, None] * k + np.arange(k)).reshape(-1)
     return Waveform(chunks[rows].reshape(-1), cfg.sample_rate)
 
 
@@ -339,13 +332,7 @@ def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
     else:
         bits = slots @ np.sin(2 * np.pi * cfg.carrier_hz * t) < 0
 
-    bits = bits.astype(np.int8).tolist()
-    ends = np.cumsum(nbits).tolist()
-    pauses = [Pause(kind) for kind in cfg.pause_samples]
-    elements: list[FrameElement] = [Run(tuple(bits[: ends[0]]))]
-    for kind, a, b in zip(kinds.tolist(), ends, ends[1:]):
-        elements += (pauses[kind], Run(tuple(bits[a:b])))
-    return BitFrame(tuple(elements))
+    return BitFrame(bits, nbits, kinds)
 
 
 # --- WAV and configuration file round trips -------------------------------
@@ -359,7 +346,9 @@ def write_wav(path: str | Path, wave: Waveform) -> None:
 
     clipped = np.clip(wave.samples, -1.0, 1.0)
     pcm = np.round(clipped * FULL_SCALE).astype("<i2")
-    with wave_mod.open(str(path), "wb") as f:
+    # An open file, not a path: wave.open leaves a half-built writer that
+    # complains at garbage collection when it cannot create the file itself.
+    with open(path, "wb") as fh, wave_mod.open(fh, "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(wave.sample_rate)

@@ -166,11 +166,14 @@ def _parse_symbols(glyphs: tuple[Glyph, ...], at: int) -> list[SymbolSpec]:
         candidates.append((SPACETIME, at + len(_SPACETIME_PATTERN)))
     if glyphs[at : at + len(_MAXWELL_PATTERN)] == _MAXWELL_PATTERN:
         candidates.append((MAXWELL, at + len(_MAXWELL_PATTERN)))
+    # Kept errors drop their tracebacks: a traceback holds its frames, and
+    # through them the caller's, so keeping it would pin receive's arrays
+    # in a reference cycle until the cyclic collector runs.
     deepest: UngrammaticalGlyphsError | None = None
     try:
         candidates.append(_parse_tensor_group(glyphs, at))
     except UngrammaticalGlyphsError as err:
-        deepest = err
+        deepest = err.with_traceback(None)
 
     for spec, end in candidates:
         try:
@@ -183,7 +186,7 @@ def _parse_symbols(glyphs: tuple[Glyph, ...], at: int) -> list[SymbolSpec]:
             return [spec] + _parse_symbols(glyphs, end + 1)
         except UngrammaticalGlyphsError as err:
             if deepest is None or err.offset > deepest.offset:
-                deepest = err
+                deepest = err.with_traceback(None)
     raise deepest if deepest is not None else UngrammaticalGlyphsError("empty glyph run", at)
 
 

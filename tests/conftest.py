@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glyphwave.framing import BitFrame
 from glyphwave.modem import ModemConfig
 from glyphwave.raster import GlyphBits
 
@@ -25,6 +26,13 @@ def random_glyph_bits(rng: np.random.Generator, dims=(5, 7)) -> GlyphBits:
     width, height = dims
     rows = tuple(tuple(int(b) for b in rng.integers(0, 2, width)) for _ in range(height))
     return GlyphBits(rows)
+
+
+def middle_run_bit_flipped(frame: BitFrame, offset: int) -> BitFrame:
+    """The frame with bit `offset` of its middle run inverted."""
+    bits = frame.bits.copy()
+    bits[frame.run_lengths[: len(frame.run_lengths) // 2].sum() + offset] ^= 1
+    return BitFrame(bits, frame.run_lengths, frame.pause_kinds)
 
 
 @pytest.fixture

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import fast_config
+import glyphwave
+
+from conftest import fast_config, middle_run_bit_flipped
 from glyphwave.cli import main
-from glyphwave.framing import BitFrame, frame_to_text
+from glyphwave.framing import frame_to_text
 from glyphwave.modem import ModemConfig, Waveform, modulate, read_wav, save_config, write_wav
 from glyphwave.notation import parse_dsl
 from glyphwave.pipeline import message_frame, transmit
@@ -67,16 +74,10 @@ def test_channel_deterministic(tmp_path):
 def test_receive_flags_corrected_decode(tmp_path, capsys):
     cfg = fast_config("fsk")
     frame = message_frame(parse_dsl("vector"), repetition=3)
-    elements = list(frame.elements)
-    runs = [i for i, e in enumerate(elements) if hasattr(e, "bits")]
-    target = runs[len(runs) // 2]
-    bits = list(elements[target].bits)
-    bits[0] ^= 1
-    elements[target] = type(elements[target])(tuple(bits))
     wav = tmp_path / "dirty.wav"
     cfg_path = tmp_path / "modem.cfg"
     save_config(cfg, cfg_path)
-    write_wav(wav, modulate(BitFrame(tuple(elements)), cfg))
+    write_wav(wav, modulate(middle_run_bit_flipped(frame, 0), cfg))
 
     code = main(["receive", str(wav), "--config", str(cfg_path)])
     assert capsys.readouterr().out.strip() == "vector"
@@ -127,3 +128,30 @@ def test_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("ok") == 12
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["receive", "missing.wav", "--scheme", "fsk"],
+        ["receive", "."],
+        ["encode", "em", "--out", "no/such/dir/x.pbm"],
+        ["transmit", "em", "--config", "missing.cfg", "--out", "x.wav"],
+        ["transmit", "em", "--out", "no/such/x.wav"],
+        ["receive", "msg.wav", "--report", "no/such/r.txt"],
+    ],
+    ids=["missing-wav", "directory", "encode-out", "missing-config", "transmit-out", "report"],
+)
+def test_file_errors_are_one_line(tmp_path, args):
+    # A real process, so that anything printed past main's return (such as
+    # a half-built WAV writer complaining at exit) shows on stderr too.
+    write_wav(tmp_path / "msg.wav", transmit("em", ModemConfig(), repetition=1))
+    src = str(Path(glyphwave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "glyphwave.cli", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import fast_config, random_glyph_bits
-from glyphwave.framing import BitFrame, GridInfo, Pause, PauseKind, Run, frame_message, infer_grid
+from glyphwave.framing import (
+    BitFrame,
+    GridInfo,
+    PauseKind,
+    Run,
+    frame_from_text,
+    frame_message,
+    infer_grid,
+)
 from glyphwave.modem import (
     AmbiguousPauseError,
     ConfigInvalidError,
@@ -87,24 +95,22 @@ def loop_modulate(frame, cfg):
 
 def random_run_frame(rng, max_runs=12, max_bits=13):
     """Runs of 1..max_bits random bits joined by random pause kinds."""
-    kinds = list(PauseKind)
-    elements = []
+    bits, lengths, kinds = [], [], []
     for i in range(int(rng.integers(1, max_runs + 1))):
         if i:
-            elements.append(Pause(kinds[int(rng.integers(len(kinds)))]))
+            kinds.append(int(rng.integers(len(PauseKind))))
         n = int(rng.integers(1, max_bits + 1))
-        elements.append(Run(tuple(int(b) for b in rng.integers(0, 2, n))))
-    return BitFrame(tuple(elements))
+        lengths.append(n)
+        bits += rng.integers(0, 2, n).tolist()
+    return BitFrame(bits, lengths, kinds)
 
 
 class TestModulate:
     def test_matches_per_element_loop(self, rng):
         frames = [
-            BitFrame(()),
-            BitFrame((Pause(PauseKind.ROW),)),
-            BitFrame((Pause(PauseKind.GLYPH), Pause(PauseKind.MESSAGE))),
-            BitFrame((Run((1,)),)),
-            BitFrame((Run((0,)), Pause(PauseKind.ROW), Run((1,)), Pause(PauseKind.MESSAGE))),
+            BitFrame([], [], []),
+            frame_from_text("1"),
+            frame_from_text("0/1///1"),
             one_glyph_frame(),
         ] + [random_run_frame(rng) for _ in range(20)]
         configs = [fast_config(s) for s in ("ask", "fsk", "psk")]
@@ -120,15 +126,9 @@ class TestModulate:
                 # on-off keying has negative zeros inside its zero bits
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    def test_pause_only_frame(self):
-        cfg = ModemConfig()
-        wave = modulate(BitFrame((Pause(PauseKind.ROW),)), cfg)
-        assert len(wave.samples) == cfg.pause_row
-        assert not wave.samples.any()
-
     def test_on_off_keying_zero_bit_is_silence(self):
         cfg = ModemConfig(scheme="ask", amp0=0.0)
-        frame = BitFrame((Run((0, 1, 0)),))
+        frame = frame_from_text("010")
         wave = modulate(frame, cfg)
         bd = cfg.bit_duration
         assert not wave.samples[:bd].any()
@@ -137,7 +137,7 @@ class TestModulate:
 
     def test_ask_one_bit_rms(self):
         cfg = ModemConfig(scheme="ask", amp0=0.0, amp1=0.8)
-        wave = modulate(BitFrame((Run((1,)),)), cfg)
+        wave = modulate(frame_from_text("1"), cfg)
         rms = np.sqrt(np.mean(wave.samples**2))
         assert abs(rms - 0.8 / np.sqrt(2)) < 1e-9 * 0.8
 
@@ -248,7 +248,7 @@ class TestDemodulate:
             w = max(8, cfg.bit_duration // 2)
             for _ in range(24):
                 frame = random_run_frame(rng, max_bits=5)
-                while len(frame.elements) < 5:
+                while len(frame.run_lengths) < 3:
                     frame = random_run_frame(rng, max_bits=5)
                 x = modulate(frame, cfg).samples
                 # start and end mid-run, so carrier fills the first and the
@@ -305,8 +305,7 @@ class TestDemodulate:
         frame = one_glyph_frame()
         wave = modulate(frame, cfg)
         flipped = demodulate(Waveform(-wave.samples, wave.sample_rate), cfg)
-        for orig, inv in zip(frame.runs(), flipped.runs()):
-            assert tuple(1 - b for b in orig.bits) == inv.bits
+        assert flipped == BitFrame(1 - frame.bits, frame.run_lengths, frame.pause_kinds)
 
     def test_sample_rate_mismatch(self):
         cfg = ModemConfig()

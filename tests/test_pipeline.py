@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import fast_config
-from glyphwave.framing import BitFrame, LengthMismatchError, frame_message, read_frame
+import gc
+import weakref
+
+from conftest import fast_config, middle_run_bit_flipped
+from glyphwave.framing import LengthMismatchError, frame_message, read_frame
 from glyphwave.glyphs import Glyph, bitmap_of, registry_for
 from glyphwave.modem import ModemConfig, Waveform, demodulate, modulate
 from glyphwave.notation import DslSyntaxError, canonical_messages, parse_dsl, print_dsl
@@ -239,6 +242,13 @@ class TestGlyphParsing:
         msg = parse_dsl("tensor(0,2) tensor(0,1) tensor(0,2)")
         assert parse_glyphs_to_message(message_glyphs(msg)) == parse_dsl("em")
 
+    def test_overlapping_em_collision_reads_leftmost_em(self):
+        # "tensor(0,2) form" followed by em's own glyphs holds two em-shaped
+        # windows that overlap; the leftmost one is read as em.
+        cfg = fast_config("fsk")
+        report = receive(transmit("tensor(0,2) form em tensor(0,2)", cfg, repetition=1), cfg)
+        assert report.dsl_text == "em form tensor(0,2) tensor(0,2)"
+
     def test_backtracking_past_fixed_pattern(self):
         # Same prefix, but the point dot on the tail forces the generic
         # reading; the parser must not commit to the fixed pattern.
@@ -250,7 +260,23 @@ class TestTransmitReceive:
     def test_riemann_run_count(self):
         cfg = fast_config("fsk")
         frame = demodulate(transmit("riemann", cfg, repetition=1), cfg)
-        assert len(frame.runs()) == 49
+        assert len(frame.run_lengths) == 49
+
+    def test_receive_leaves_no_reference_cycle(self):
+        # A parser that keeps caught errors with their tracebacks holds
+        # receive's frame, and so the waveform, until the cyclic collector
+        # runs. "vector" raises nothing in the parser; "spacetime vector" does.
+        cfg = fast_config("fsk")
+        gc.disable()
+        try:
+            for dsl in ("vector", "spacetime vector"):
+                wave = transmit(dsl, cfg, repetition=1)
+                alive = weakref.ref(wave)
+                assert receive(wave, cfg).dsl_text == dsl
+                del wave
+                assert alive() is None, dsl
+        finally:
+            gc.enable()
 
     def test_empty_dsl(self):
         with pytest.raises(DslSyntaxError):
@@ -297,14 +323,8 @@ class TestTransmitReceive:
     def test_corrected_bits_reported(self):
         cfg = fast_config("fsk")
         frame = message_frame(parse_dsl("vector"), repetition=3)
-        elements = list(frame.elements)
         # flip one payload bit inside the middle copy
-        runs = [i for i, e in enumerate(elements) if hasattr(e, "bits")]
-        target = runs[len(runs) // 2]
-        bits = list(elements[target].bits)
-        bits[2] ^= 1
-        elements[target] = type(elements[target])(tuple(bits))
-        wave = modulate(BitFrame(tuple(elements)), cfg)
+        wave = modulate(middle_run_bit_flipped(frame, 2), cfg)
         report = receive(wave, cfg)
         assert report.dsl_text == "vector"
         assert report.corrected_bits == 1
