@@ -5,14 +5,19 @@ chosen keying (amplitude, frequency, or phase); each pause becomes a
 configured stretch of silence. With a clean channel the round trip is
 exact for every scheme.
 
-The receiver works over whole-waveform arrays in one pass. It computes
-the block, short-window and confirm-window powers once, finds every
-active segment and refines its edges from them, then decides every
-segment's bit count, every silence's pause kind (the nearest configured
-length within PAUSE_TOLERANCE) and every bit's matched-filter
-correlation together; the first fault in wire order is raised. Two pause
-kinds a < b cannot tie: a gap equidistant from both and within tolerance
-of both needs b <= 1.8 a, and the configuration enforces b >= 2 a.
+The receiver decides the whole waveform in one pass and allocates one
+waveform-sized array, the bit-slot matrix (and a zero-padded copy of the
+waveform only when a slot reaches past its ends). Of the energy prefix
+sum it keeps the values at the block bounds, whose block powers find
+every active segment, and the rows around each coarse edge, where the
+short-window and confirm-window powers refine the edge; each value is
+bitwise the one a whole-waveform cumsum gives. Then every segment's bit
+count, every silence's pause kind (the nearest configured length within
+PAUSE_TOLERANCE) and every bit's matched-filter correlation are decided
+together, the bit slots taken as rows of the waveform itself; the first
+fault in wire order is raised. Two pause kinds a < b cannot tie: a gap
+equidistant from both and within tolerance of both needs b <= 1.8 a, and
+the configuration enforces b >= 2 a.
 
 Demodulation assumes the transmit configuration is shared (so phase-shift
 keying uses a coherent reference and keeps its documented global sign
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .framing import BitFrame, PauseKind
 
@@ -193,15 +199,73 @@ def modulate(frame: BitFrame, cfg: ModemConfig) -> Waveform:
     return Waveform(chunks[rows].reshape(-1), cfg.sample_rate)
 
 
-def _active_segments(cum: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
+def _cum_rows(
+    samples: np.ndarray, cum_b: np.ndarray, base: np.ndarray, width: int, w: int
+) -> np.ndarray:
+    """Rows cum[b : b + width] for every block bound b in base.
+
+    cum is the energy prefix sum of the samples padded with w silent samples
+    per side, and cum_b holds it at every block bound. Each row starts from
+    its bound's value and sums the squares that follow, so it is bitwise the
+    slice of a cumsum over the whole padded waveform.
+    """
+    m = len(samples)
+    first = base - w  # the sample whose square rows[:, 1] adds
+    rows = np.empty((len(base), width))
+    rows[:, 0] = cum_b[base // w]
+    inside = (first >= 0) & (first <= m - (width - 1))
+    if inside.any():
+        rows[inside, 1:] = sliding_window_view(samples, width - 1)[first[inside]]
+    for r, f in zip(np.flatnonzero(~inside).tolist(), first[~inside].tolist()):
+        a, b = max(f, 0), min(f + width - 1, m)
+        rows[r, 1:] = 0.0
+        rows[r, 1 + a - f : 1 + b - f] = samples[a:b]
+    np.square(rows[:, 1:], out=rows[:, 1:])
+    return np.cumsum(rows, axis=1, out=rows)
+
+
+def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Coarse power-threshold segmentation with sample-level edge refinement.
 
     Returns the start and stop sample of every active segment as two arrays.
+    An edge may sit up to max(8, bit_duration // 2) samples outside the
+    waveform.
     """
-    n = len(cum) - 1
+    # The waveform is read as padded with w silent samples per side, so edge
+    # refinement behaves the same at its ends as between runs; otherwise the
+    # recentered slot grid of a boundary run shifts by half the overshoot
+    # and rotates the carrier phase under the correlators. cum[k] is the
+    # energy of the first k padded samples. Only its values at the block
+    # bounds and its rows around the coarse edges are computed, each bitwise
+    # the one a whole-waveform cumsum gives: that cumsum would be one more
+    # waveform-sized array per call, whose fresh pages cost milliseconds.
     w = max(8, cfg.bit_duration // 2)
+    sw = max(2, cfg.bit_duration // 24)
+    cw = max(sw, cfg.bit_duration // 4)
+    m = len(samples)
+    n = m + 2 * w
     bounds = np.append(np.arange(0, n, w), n)
-    block_p = np.diff(cum[bounds]) / np.diff(bounds)
+    # cum at every block bound: 0 through the leading padding, then the
+    # running sum of squares at every w-th sample, then flat. The sum runs
+    # in chunks of whole blocks, each restarting from the exact total so
+    # far. A chunk is about 2**18 samples (2 MB): a whole fast-config
+    # message, a quarter of a default-config one. The buffer keeps that size
+    # for shorter waveforms: pages it never writes cost nothing, and sizing
+    # it to the waveform measured slower on short messages.
+    step = w * max(1, 2**18 // w)
+    buf = np.empty(step + 1)
+    cum_b = np.empty(len(bounds))
+    cum_b[0] = total = 0.0
+    for c in range(0, m, step):
+        k = min(step, m - c)
+        buf[0] = total
+        np.square(samples[c : c + k], out=buf[1 : k + 1])
+        np.cumsum(buf[: k + 1], out=buf[: k + 1])
+        at = buf[0:k:w]
+        cum_b[1 + c // w : 1 + c // w + len(at)] = at
+        total = buf[k]
+    cum_b[1 + -(-m // w) :] = total  # the bounds at and past the last sample
+    block_p = np.diff(cum_b) / np.diff(bounds)
 
     floor_p = (cfg.peak_amplitude / 20) ** 2
     thr_p = floor_p
@@ -218,34 +282,31 @@ def _active_segments(cum: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.
     # Edge refinement pairs a short window (timing precision, overshoot
     # into silence under sw per side, inside the 10 percent drift budget)
     # with a longer confirm window so isolated noise flukes near an edge
-    # cannot masquerade as signal onset. The caller pads at least
-    # bit_duration // 2 samples per side, so n > cw and neither window
-    # array is empty.
-    sw = max(2, cfg.bit_duration // 24)
-    cw = max(sw, cfg.bit_duration // 4)
-    short = (cum[sw:] - cum[:-sw]) / sw > thr_p
-    confirm = (cum[cw:] - cum[:-cw]) / cw > thr_p
-    # hot[w + i]: both windows starting at sample i are hot; hot_end[w + i]:
-    # both windows ending at sample i are. False padding (w per side, more
-    # past the end of hot, where no window starts) makes every edge's search
-    # window a full-width row with the same first and last True as the
-    # window clipped at the waveform ends.
-    pad = np.zeros(w, bool)
-    hot = np.concatenate([pad, short[: len(confirm)] & confirm, np.zeros(cw + w, bool)])
-    hot_end = np.concatenate([np.zeros(w + cw, bool), short[cw - sw :] & confirm, pad])
-
-    # The start search window is [s - w, s + w), the stop one [e - w, e + w];
-    # an edge whose window holds no True keeps its coarse position.
+    # cannot masquerade as signal onset. Both are tested only inside each
+    # edge's search window: [s - w, s + w) for the first sample where both
+    # windows starting there are hot, [e - w, e + w] for the last where both
+    # windows ending there are. The first and the last block are padding,
+    # never hot since thr_p >= floor_p > 0, so s >= w and e >= 2w, and the
+    # windows lie in the three blocks from the bound s - w, or e - 2w. An
+    # edge whose search window holds no hot sample keeps its coarse position.
     s, e = bounds[edges == 1], bounds[edges == -1]
     rows = np.arange(len(s))
-    first = hot[s[:, None] + np.arange(2 * w)]
+    near = _cum_rows(samples, cum_b, s - w, 2 * w + cw, w)  # near[:, a] is cum[s - w + a]
+    at = near[:, : 2 * w]
+    first = ((near[:, sw : sw + 2 * w] - at) / sw > thr_p) & (
+        (near[:, cw : cw + 2 * w] - at) / cw > thr_p
+    )
     i = first.argmax(axis=1)
     starts = np.where(first[rows, i], s - w + i, s)
-    last = hot_end[e[:, None] + np.arange(2 * w, -1, -1)]
-    j = last.argmax(axis=1)
-    stops = np.where(last[rows, j], e + w - j, e)
+    near = _cum_rows(samples, cum_b, e - 2 * w, 3 * w + 1, w)
+    at = near[:, w:]  # at[:, b] is cum[e - w + b]
+    last = ((at - near[:, w - sw : 3 * w + 1 - sw]) / sw > thr_p) & (
+        (at - near[:, w - cw : 3 * w + 1 - cw]) / cw > thr_p
+    )
+    j = last[:, ::-1].argmax(axis=1)
+    stops = np.where(last[rows, 2 * w - j], e + w - j, e)
     keep = stops - starts >= cfg.bit_duration // 2
-    return starts[keep], stops[keep]
+    return starts[keep] - w, stops[keep] - w
 
 
 def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
@@ -264,14 +325,7 @@ def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
             f"config expects {cfg.sample_rate} Hz"
         )
     bd = cfg.bit_duration
-    # Pad with silence so edge refinement behaves the same at the waveform
-    # boundaries as between runs; otherwise the recentered slot grid of a
-    # boundary run shifts by half the overshoot and rotates the carrier
-    # phase under the correlators.
-    pad = max(8, bd // 2)
-    x = np.concatenate([np.zeros(pad), wave.samples, np.zeros(pad)])
-    cum = np.concatenate([[0.0], np.cumsum(x * x)])
-    starts, stops = _active_segments(cum, cfg)
+    starts, stops = _active_segments(wave.samples, cfg)
     if not len(starts):
         raise NoSignalError("waveform carries no detectable signal")
 
@@ -298,11 +352,11 @@ def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
         k = int(faults.min())
         i = k // 2
         if k % 2:
-            at = max(int(stops[i]) - pad, 0)
+            at = max(int(stops[i]), 0)
             raise AmbiguousPauseError(
                 f"silence of {gaps[i]} samples matches no configured pause at sample {at}"
             )
-        at = max(int(starts[i]) - pad, 0)
+        at = max(int(starts[i]), 0)
         raise DesyncError(
             f"segment of {lengths[i]} samples is not close to {nbits[i]} bits at sample {at}"
         )
@@ -310,18 +364,31 @@ def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
     # Center each run's nominal-length slot grid in its measured segment
     # (halving the excess toward zero) so edge estimation bias cancels
     # instead of rotating the carrier reference. Grid samples outside the
-    # segment read as silence.
+    # segment, and outside the waveform, read as silence. Past the desync
+    # check |excess| <= bd / 2, so only a run shorter than its grid has
+    # such samples: the first |excess| // 2 of its first slot and the last
+    # |excess| - |excess| // 2 of its last slot.
     excess = lengths - nbits * bd
     grid = starts + np.sign(excess) * (np.abs(excess) // 2)
+    ends = np.cumsum(nbits)
     run = np.repeat(np.arange(len(starts)), nbits)
-    nth = np.arange(len(run)) - np.repeat(np.cumsum(nbits) - nbits, nbits)
-    idx = (grid[run] + nth * bd)[:, None] + np.arange(bd)
-    slots = x.take(idx, mode="clip")
-    slots[(idx < starts[run, None]) | (idx >= stops[run, None])] = 0.0
+    pos = grid[run] + (np.arange(len(run)) - (ends - nbits)[run]) * bd
+    x = wave.samples
+    lo, hi = max(0, -int(pos.min())), max(0, int(pos.max()) + bd - len(x))
+    if lo or hi:
+        x = np.pad(x, (lo, hi))
+    slots = sliding_window_view(x, bd)[pos + lo]
+    short = excess < 0
+    cut = -excess[short]
+    cols = np.arange(bd)
+    first, last = (ends - nbits)[short], ends[short] - 1
+    slots[first] = np.where(cols < (cut // 2)[:, None], 0.0, slots[first])
+    slots[last] = np.where(cols >= bd - (cut - cut // 2)[:, None], 0.0, slots[last])
 
     t = np.arange(bd) / cfg.sample_rate
     if cfg.scheme == "ask":
-        bits = np.mean(slots * slots, axis=1) > (cfg.amp0**2 + cfg.amp1**2) / 4
+        np.square(slots, out=slots)
+        bits = np.mean(slots, axis=1) > (cfg.amp0**2 + cfg.amp1**2) / 4
     elif cfg.scheme == "fsk":
         mags = []
         for f in (cfg.freq0_hz, cfg.freq1_hz):
@@ -368,7 +435,8 @@ def read_wav(path: str | Path) -> Waveform:
     except (EOFError, wave_mod.Error) as err:
         detail = str(err) or "file ends early"
         raise ValueError(f"cannot read {path} as a WAV file: {detail}") from err
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / FULL_SCALE
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= FULL_SCALE
     return Waveform(samples, rate)
 
 

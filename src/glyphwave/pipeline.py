@@ -149,8 +149,12 @@ def _parse_tensor_group(glyphs: tuple[Glyph, ...], at: int) -> tuple[SymbolSpec,
     try:
         spec = SymbolSpec(SymbolKind.TENSOR, r, s, at_point=at_point, affinity=affinity)
     except ValueError as err:
-        raise UngrammaticalGlyphsError(str(err), at) from None
-    return spec, i
+        reason = str(err)
+    else:
+        return spec, i
+    # Raised outside the handler, so the error has no __context__ whose
+    # traceback holds this frame and, through it, the caller's.
+    raise UngrammaticalGlyphsError(reason, at)
 
 
 def _parse_symbols(glyphs: tuple[Glyph, ...], at: int) -> list[SymbolSpec]:
@@ -187,7 +191,14 @@ def _parse_symbols(glyphs: tuple[Glyph, ...], at: int) -> list[SymbolSpec]:
         except UngrammaticalGlyphsError as err:
             if deepest is None or err.offset > deepest.offset:
                 deepest = err.with_traceback(None)
-    raise deepest if deepest is not None else UngrammaticalGlyphsError("empty glyph run", at)
+    if deepest is None:
+        deepest = UngrammaticalGlyphsError("empty glyph run", at)
+    # The raised error's traceback holds this frame; drop the frame's own
+    # reference to the error so the two form no cycle.
+    try:
+        raise deepest
+    finally:
+        del deepest
 
 
 def parse_glyphs_to_message(glyphs: list[Glyph]) -> Message:

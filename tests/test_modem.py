@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from glyphwave.framing import (
     infer_grid,
 )
 from glyphwave.modem import (
+    FULL_SCALE,
+    PAUSE_TOLERANCE,
+    SCHEMES,
     AmbiguousPauseError,
     ConfigInvalidError,
     DesyncError,
@@ -29,6 +33,7 @@ from glyphwave.modem import (
     save_config,
     write_wav,
 )
+from glyphwave.pipeline import transmit
 
 
 class TestConfigValidation:
@@ -237,6 +242,84 @@ def energy_cumsum(x):
     return np.concatenate([[0.0], np.cumsum(x * x)])
 
 
+def reference_demodulate(wave, cfg):
+    """Reference: demodulate over whole-waveform temporaries, the padded
+    copy of the samples and an index matrix of every bit slot."""
+    bd = cfg.bit_duration
+    pad = max(8, bd // 2)
+    x = np.concatenate([np.zeros(pad), wave.samples, np.zeros(pad)])
+    starts, stops = loop_active_segments(energy_cumsum(x), cfg)
+    if not len(starts):
+        raise NoSignalError("waveform carries no detectable signal")
+    lengths = stops - starts
+    nbits = np.maximum(1, np.rint(lengths / bd).astype(np.intp))
+    desync = np.abs(lengths - nbits * bd) > 0.1 * nbits * bd
+    gaps = starts[1:] - stops[:-1]
+    durs = np.array(list(cfg.pause_samples.values()))
+    dist = np.abs(gaps[:, None] - durs)
+    fits = dist <= PAUSE_TOLERANCE * durs
+    kinds = np.where(fits, dist, np.inf).argmin(axis=1)
+    faults = np.concatenate(
+        [2 * np.flatnonzero(desync), 2 * np.flatnonzero(~fits.any(axis=1)) + 1]
+    )
+    if len(faults):
+        k = int(faults.min())
+        i = k // 2
+        if k % 2:
+            at = max(int(stops[i]) - pad, 0)
+            raise AmbiguousPauseError(
+                f"silence of {gaps[i]} samples matches no configured pause at sample {at}"
+            )
+        at = max(int(starts[i]) - pad, 0)
+        raise DesyncError(
+            f"segment of {lengths[i]} samples is not close to {nbits[i]} bits at sample {at}"
+        )
+    excess = lengths - nbits * bd
+    grid = starts + np.sign(excess) * (np.abs(excess) // 2)
+    run = np.repeat(np.arange(len(starts)), nbits)
+    nth = np.arange(len(run)) - np.repeat(np.cumsum(nbits) - nbits, nbits)
+    idx = (grid[run] + nth * bd)[:, None] + np.arange(bd)
+    slots = x.take(idx, mode="clip")
+    slots[(idx < starts[run, None]) | (idx >= stops[run, None])] = 0.0
+    t = np.arange(bd) / cfg.sample_rate
+    if cfg.scheme == "ask":
+        bits = np.mean(slots * slots, axis=1) > (cfg.amp0**2 + cfg.amp1**2) / 4
+    elif cfg.scheme == "fsk":
+        mags = []
+        for f in (cfg.freq0_hz, cfg.freq1_hz):
+            c = slots @ np.cos(2 * np.pi * f * t)
+            s = slots @ np.sin(2 * np.pi * f * t)
+            mags.append(c * c + s * s)
+        bits = mags[1] > mags[0]
+    else:
+        bits = slots @ np.sin(2 * np.pi * cfg.carrier_hz * t) < 0
+    return BitFrame(bits, nbits, kinds)
+
+
+def demodulate_outcome(demod, wave, cfg):
+    """The frame's arrays, or the class and message of the error raised."""
+    try:
+        frame = demod(wave, cfg)
+    except ValueError as err:
+        return type(err), str(err)
+    return frame.bits.tolist(), frame.run_lengths.tolist(), frame.pause_kinds.tolist()
+
+
+def dense_config(scheme):
+    """8 samples per bit at 8 kHz: the smallest bit the config allows."""
+    return ModemConfig(
+        scheme=scheme,
+        sample_rate=8000,
+        bit_duration=8,
+        carrier_hz=1000.0,
+        freq0_hz=1000.0,
+        freq1_hz=2000.0,
+        pause_row=8,
+        pause_glyph=24,
+        pause_message=56,
+    )
+
+
 class TestDemodulate:
     def test_edge_refinement_matches_per_segment_loop(self, rng):
         configs = [fast_config(s) for s in ("ask", "fsk", "psk")] + [ModemConfig(scheme="fsk")]
@@ -252,23 +335,77 @@ class TestDemodulate:
                     frame = random_run_frame(rng, max_bits=5)
                 x = modulate(frame, cfg).samples
                 # start and end mid-run, so carrier fills the first and the
-                # last block and both search windows are clipped
+                # last block and both search windows reach past the waveform
                 lead, trail = rng.integers(1, cfg.bit_duration, 2)
                 x = x[int(lead) : -int(trail)]
                 x = x + rng.normal(0, float(rng.uniform(0.01, 0.5)), len(x))
                 at = int(rng.integers(len(x)))
                 x[at : at + int(rng.integers(1, 40))] += rng.normal(0, 3)  # a click
                 for pad in (0, w):
-                    cum = energy_cumsum(np.pad(x, pad))
-                    got, want = _active_segments(cum, cfg), loop_active_segments(cum, cfg)
-                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                    got = _active_segments(np.pad(x, pad), cfg)
+                    # the reference reads the silence padding as samples
+                    want = loop_active_segments(energy_cumsum(np.pad(x, pad + w)), cfg)
+                    assert np.array_equal(got[0], want[0] - w)
+                    assert np.array_equal(got[1], want[1] - w)
                     assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
                     if not pad:
-                        clipped += int(want[0][0] < w and want[1][-1] > len(x) - w)
+                        clipped += int(got[0][0] < w and got[1][-1] > len(x) - w)
             for x in (np.zeros(10 * cfg.bit_duration), rng.normal(0, 1e-3, 10 * cfg.bit_duration)):
-                got = _active_segments(energy_cumsum(x), cfg)
+                got = _active_segments(x, cfg)
                 assert len(got[0]) == len(got[1]) == 0
         assert clipped >= 48
+
+    def test_matches_whole_waveform_reference(self, rng):
+        # seeded noisy waveforms, trimmed at either end, with a click or a
+        # dropout: equal frames, or the same error class and message
+        configs = [
+            make(s) for make in (fast_config, dense_config, ModemConfig) for s in SCHEMES
+        ]
+        seen = set()
+        for cfg in configs:
+            bd = cfg.bit_duration
+            trials = 4 if bd == 480 else 40
+            for _ in range(trials):
+                glyphs = [random_glyph_bits(rng) for _ in range(int(rng.integers(1, 3)))]
+                x = modulate(frame_message(glyphs, int(rng.integers(1, 4)), (5, 7)), cfg).samples
+                lead, trail = rng.integers(0, 2 * bd, 2)
+                x = x[int(lead) : len(x) - int(trail)]
+                at = int(rng.integers(len(x)))
+                fault = rng.integers(3)
+                if fault == 1:  # a click
+                    x[at : at + int(rng.integers(1, bd))] += rng.normal(0, 2)
+                elif fault == 2:  # a dropout
+                    x[at : at + int(rng.integers(1, 3 * bd))] = 0.0
+                x = x * rng.uniform(0.3, 1.5)
+                if rng.random() < 0.8:
+                    x = x + rng.normal(0, rng.uniform(0.01, 0.6), len(x))
+                wave = Waveform(x, cfg.sample_rate)
+                want = demodulate_outcome(reference_demodulate, wave, cfg)
+                assert demodulate_outcome(demodulate, wave, cfg) == want
+                seen.add(want[0] if isinstance(want[0], type) else "frame")
+        # waveforms shorter than the rows around an edge, down to empty
+        for cfg in configs[3:6]:
+            for n in range(0, 40, 3):
+                for x in (np.ones(n), np.sin(np.arange(n)), rng.normal(0, 1, n)):
+                    wave = Waveform(x, cfg.sample_rate)
+                    want = demodulate_outcome(reference_demodulate, wave, cfg)
+                    assert demodulate_outcome(demodulate, wave, cfg) == want
+                    seen.add(want[0] if isinstance(want[0], type) else "frame")
+        assert {"frame", NoSignalError, DesyncError, AmbiguousPauseError} <= seen
+
+    def test_at_most_two_waveform_sized_arrays(self):
+        # the bit-slot matrix is the only one; the energy prefix sum is
+        # kept at the block bounds and around the edges, in 2 MB chunks
+        for scheme in SCHEMES:
+            cfg = ModemConfig(scheme=scheme)
+            wave = transmit("em", cfg, repetition=3)
+            tracemalloc.start()
+            try:
+                demodulate(wave, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * wave.samples.nbytes, scheme
 
     def test_round_trip_every_scheme_default_config(self):
         frame = one_glyph_frame()
@@ -364,6 +501,22 @@ class TestWavFiles:
         assert back.sample_rate == cfg.sample_rate
         assert len(back.samples) == len(wave.samples)
         assert np.max(np.abs(back.samples - wave.samples)) <= 2**-15
+
+    def test_samples_are_the_pcm_over_full_scale(self, tmp_path, rng):
+        # under 256 KiB of float64, where numpy does not reuse the temporary
+        # of a chained expression, so an out-of-place divide shows
+        x = rng.normal(0, 0.5, 16000)
+        path = tmp_path / "noise.wav"
+        write_wav(path, Waveform(x, 48000))
+        tracemalloc.start()
+        try:
+            back = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.samples, np.round(np.clip(x, -1, 1) * FULL_SCALE) / FULL_SCALE)
+        # the PCM bytes plus one float64 array, not two
+        assert peak < 1.5 * back.samples.nbytes
 
     def test_clipping(self, tmp_path):
         path = tmp_path / "clip.wav"

@@ -7,7 +7,15 @@ import weakref
 from conftest import fast_config, middle_run_bit_flipped
 from glyphwave.framing import LengthMismatchError, frame_message, read_frame
 from glyphwave.glyphs import Glyph, bitmap_of, registry_for
-from glyphwave.modem import ModemConfig, Waveform, demodulate, modulate
+from glyphwave.modem import (
+    AmbiguousPauseError,
+    DesyncError,
+    ModemConfig,
+    NoSignalError,
+    Waveform,
+    demodulate,
+    modulate,
+)
 from glyphwave.notation import DslSyntaxError, canonical_messages, parse_dsl, print_dsl
 from glyphwave.pipeline import (
     AmbiguousGlyphError,
@@ -256,6 +264,68 @@ class TestGlyphParsing:
         assert parse_glyphs_to_message(message_glyphs(msg)) == msg
 
 
+def resample(x, ratio):
+    """x read every `ratio` samples by linear interpolation: a clock offset
+    of ratio - 1 between transmitter and receiver."""
+    n = int(len(x) / ratio)
+    return np.interp(np.arange(n) * ratio, np.arange(len(x)), x)
+
+
+def decoded_or_error(wave, cfg):
+    try:
+        return receive(wave, cfg).dsl_text
+    except ValueError as err:
+        return type(err)
+
+
+# What receive makes of "em" at repetition 3 on the fast config with 25 dB
+# of seeded noise and one more impairment. These are the receiver's present
+# outcomes, pinned so that a change to them is made on purpose: amplitude
+# keying has fixed bit thresholds, so a DC offset or a gain away from 1
+# breaks it, while frequency and phase keying ride them out.
+PINNED_IMPAIRMENTS = {
+    "ask": {
+        "dc offset 0.05": DesyncError,
+        "dc offset 0.2": DesyncError,
+        "gain 0.05": NoSignalError,
+        "gain 0.2": AmbiguousPauseError,
+        "gain 3": UngrammaticalGlyphsError,
+        "shorter by 0.1 %": "em",
+        "longer by 0.1 %": "em",
+    },
+    "fsk": {
+        "dc offset 0.05": "em",
+        "dc offset 0.2": "em",
+        "gain 0.05": NoSignalError,
+        "gain 0.2": "em",
+        "gain 3": "em",
+        "shorter by 0.1 %": "em",
+        "longer by 0.1 %": "em",
+    },
+}
+PINNED_IMPAIRMENTS["psk"] = PINNED_IMPAIRMENTS["fsk"]
+
+
+class TestImpairments:
+    @pytest.mark.parametrize("scheme", ["ask", "fsk", "psk"])
+    def test_dc_offset_gain_and_clock_offset_pinned(self, scheme):
+        cfg = fast_config(scheme)
+        clean = transmit("em", cfg, repetition=3)
+        x = apply_channel(clean, ChannelConfig(snr_db=25, seed=11)).samples
+        rate = cfg.sample_rate
+        waves = {
+            "dc offset 0.05": Waveform(x + 0.05, rate),
+            "dc offset 0.2": Waveform(x + 0.2, rate),
+            "shorter by 0.1 %": Waveform(resample(x, 1.001), rate),
+            "longer by 0.1 %": Waveform(resample(x, 0.999), rate),
+        }
+        for gain in (0.05, 0.2, 3):
+            ch = ChannelConfig(snr_db=25, gain=gain, seed=11)
+            waves[f"gain {gain}"] = apply_channel(clean, ch)
+        got = {name: decoded_or_error(wave, cfg) for name, wave in waves.items()}
+        assert got == PINNED_IMPAIRMENTS[scheme]
+
+
 class TestTransmitReceive:
     def test_riemann_run_count(self):
         cfg = fast_config("fsk")
@@ -266,7 +336,11 @@ class TestTransmitReceive:
         # A parser that keeps caught errors with their tracebacks holds
         # receive's frame, and so the waveform, until the cyclic collector
         # runs. "vector" raises nothing in the parser; "spacetime vector" does.
+        # A bracket group with ten up-arrows fails: the parser raises the
+        # error it kept, after SymbolSpec refused the rank.
         cfg = fast_config("fsk")
+        too_many = [Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN] + [Glyph.ARROW_UP] * 10
+        frame = frame_message([serialize_glyph(bitmap_of(g)) for g in too_many], 1, (5, 7))
         gc.disable()
         try:
             for dsl in ("vector", "spacetime vector"):
@@ -275,6 +349,17 @@ class TestTransmitReceive:
                 assert receive(wave, cfg).dsl_text == dsl
                 del wave
                 assert alive() is None, dsl
+            wave = modulate(frame, cfg)
+            alive = weakref.ref(wave)
+            try:
+                receive(wave, cfg)
+            except UngrammaticalGlyphsError as err:
+                # SymbolSpec's ValueError would keep its frames as context
+                assert err.__context__ is None
+            else:
+                pytest.fail("ten up-arrows decoded")
+            del wave
+            assert alive() is None, "failed decode"
         finally:
             gc.enable()
 
