@@ -7,12 +7,12 @@ exact for every scheme.
 
 The receiver decides the whole waveform in one pass and allocates one
 waveform-sized array, the bit-slot matrix (and a zero-padded copy of the
-waveform only when a slot reaches past its ends). Of the energy prefix
-sum it keeps the values at the block bounds, whose block powers find
-every active segment, and the rows around each coarse edge, where the
-short-window and confirm-window powers refine the edge; each value is
-bitwise the one a whole-waveform cumsum gives. Then every segment's bit
-count, every silence's pause kind (the nearest configured length within
+waveform only when a slot reaches past its ends). It builds no running
+energy sum over the waveform: the squared samples summed per block give
+the block powers that find every active segment, and short running sums
+in rows around each coarse edge give the short-window and confirm-window
+powers that refine the edge. Then every segment's bit count, every
+silence's pause kind (the nearest configured length within
 PAUSE_TOLERANCE) and every bit's matched-filter correlation are decided
 together, the bit slots taken as rows of the waveform itself; the first
 fault in wire order is raised. Two pause kinds a < b cannot tie: a gap
@@ -199,20 +199,17 @@ def modulate(frame: BitFrame, cfg: ModemConfig) -> Waveform:
     return Waveform(chunks[rows].reshape(-1), cfg.sample_rate)
 
 
-def _cum_rows(
-    samples: np.ndarray, cum_b: np.ndarray, base: np.ndarray, width: int, w: int
-) -> np.ndarray:
-    """Rows cum[b : b + width] for every block bound b in base.
+def _cum_rows(samples: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+    """Running energy sums over width - 1 samples from each f in first.
 
-    cum is the energy prefix sum of the samples padded with w silent samples
-    per side, and cum_b holds it at every block bound. Each row starts from
-    its bound's value and sums the squares that follow, so it is bitwise the
-    slice of a cumsum over the whole padded waveform.
+    Row r is 0 followed by the running sum of the squares of samples
+    first[r], first[r] + 1, ..., so rows[r, b] - rows[r, a] is the energy of
+    the b - a samples from first[r] + a. Samples outside the waveform read
+    as silence.
     """
     m = len(samples)
-    first = base - w  # the sample whose square rows[:, 1] adds
-    rows = np.empty((len(base), width))
-    rows[:, 0] = cum_b[base // w]
+    rows = np.empty((len(first), width))
+    rows[:, 0] = 0.0
     inside = (first >= 0) & (first <= m - (width - 1))
     if inside.any():
         rows[inside, 1:] = sliding_window_view(samples, width - 1)[first[inside]]
@@ -234,43 +231,40 @@ def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray,
     # The waveform is read as padded with w silent samples per side, so edge
     # refinement behaves the same at its ends as between runs; otherwise the
     # recentered slot grid of a boundary run shifts by half the overshoot
-    # and rotates the carrier phase under the correlators. cum[k] is the
-    # energy of the first k padded samples. Only its values at the block
-    # bounds and its rows around the coarse edges are computed, each bitwise
-    # the one a whole-waveform cumsum gives: that cumsum would be one more
-    # waveform-sized array per call, whose fresh pages cost milliseconds.
+    # and rotates the carrier phase under the correlators. Positions below
+    # are in padded coordinates: padded sample p is waveform sample p - w.
+    # Block energies are squares summed per block, and the edge windows
+    # come from short running sums in rows around each coarse edge: a
+    # running sum over the whole waveform costs about 2.5 times as much per
+    # sample as the per-block sums.
     w = max(8, cfg.bit_duration // 2)
     sw = max(2, cfg.bit_duration // 24)
     cw = max(sw, cfg.bit_duration // 4)
     m = len(samples)
     n = m + 2 * w
     bounds = np.append(np.arange(0, n, w), n)
-    # cum at every block bound: 0 through the leading padding, then the
-    # running sum of squares at every w-th sample, then flat. The sum runs
-    # in chunks of whole blocks, each restarting from the exact total so
-    # far. A chunk is about 2**18 samples (2 MB): a whole fast-config
-    # message, a quarter of a default-config one. The buffer keeps that size
-    # for shorter waveforms: pages it never writes cost nothing, and sizing
-    # it to the waveform measured slower on short messages.
+    # Block 0 and the blocks past the last sample are padding, of energy 0;
+    # block 1 + j holds the waveform samples from j w. The squares are taken
+    # in chunks of whole blocks of about 2**18 samples (2 MB): a whole
+    # fast-config message, a quarter of a default-config one. The buffer
+    # keeps that size for shorter waveforms: pages it never writes cost
+    # nothing, and sizing it to the waveform measured slower on short
+    # messages.
     step = w * max(1, 2**18 // w)
-    buf = np.empty(step + 1)
-    cum_b = np.empty(len(bounds))
-    cum_b[0] = total = 0.0
-    for c in range(0, m, step):
-        k = min(step, m - c)
-        buf[0] = total
-        np.square(samples[c : c + k], out=buf[1 : k + 1])
-        np.cumsum(buf[: k + 1], out=buf[: k + 1])
-        at = buf[0:k:w]
-        cum_b[1 + c // w : 1 + c // w + len(at)] = at
-        total = buf[k]
-    cum_b[1 + -(-m // w) :] = total  # the bounds at and past the last sample
-    block_p = np.diff(cum_b) / np.diff(bounds)
+    buf = np.empty(step)
+    block_e = np.zeros(len(bounds) - 1)
+    whole = m - m % w
+    for c in range(0, whole, step):
+        k = min(step, whole - c)
+        np.square(samples[c : c + k], out=buf[:k])
+        block_e[1 + c // w : 1 + (c + k) // w] = buf[:k].reshape(-1, w).sum(axis=1)
+    np.square(samples[whole:], out=buf[: m - whole])
+    block_e[1 + whole // w] = buf[: m - whole].sum()  # the partial last block
+    block_p = block_e / np.diff(bounds)
 
     floor_p = (cfg.peak_amplitude / 20) ** 2
     thr_p = floor_p
-    lo = float(np.percentile(block_p, 5))
-    hi = float(np.percentile(block_p, 90))
+    lo, hi = np.percentile(block_p, [5, 90]).tolist()
     # Adaptive threshold only when the power histogram is clearly
     # bimodal; otherwise the configured floor stands (clean signals
     # have lo == 0 and land here as well).
@@ -285,23 +279,22 @@ def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray,
     # cannot masquerade as signal onset. Both are tested only inside each
     # edge's search window: [s - w, s + w) for the first sample where both
     # windows starting there are hot, [e - w, e + w] for the last where both
-    # windows ending there are. The first and the last block are padding,
-    # never hot since thr_p >= floor_p > 0, so s >= w and e >= 2w, and the
-    # windows lie in the three blocks from the bound s - w, or e - 2w. An
-    # edge whose search window holds no hot sample keeps its coarse position.
+    # windows ending there are. Each edge gets one row of running sums from
+    # the first sample its windows read: s - w, or e - w - cw. An edge whose
+    # search window holds no hot sample keeps its coarse position.
     s, e = bounds[edges == 1], bounds[edges == -1]
     rows = np.arange(len(s))
-    near = _cum_rows(samples, cum_b, s - w, 2 * w + cw, w)  # near[:, a] is cum[s - w + a]
+    near = _cum_rows(samples, s - 2 * w, 2 * w + cw)  # near[:, a] sums [s - w, s - w + a)
     at = near[:, : 2 * w]
     first = ((near[:, sw : sw + 2 * w] - at) / sw > thr_p) & (
         (near[:, cw : cw + 2 * w] - at) / cw > thr_p
     )
     i = first.argmax(axis=1)
     starts = np.where(first[rows, i], s - w + i, s)
-    near = _cum_rows(samples, cum_b, e - 2 * w, 3 * w + 1, w)
-    at = near[:, w:]  # at[:, b] is cum[e - w + b]
-    last = ((at - near[:, w - sw : 3 * w + 1 - sw]) / sw > thr_p) & (
-        (at - near[:, w - cw : 3 * w + 1 - cw]) / cw > thr_p
+    near = _cum_rows(samples, e - 2 * w - cw, 2 * w + cw + 1)
+    at = near[:, cw:]  # at[:, b] sums [e - w - cw, e - w + b)
+    last = ((at - near[:, cw - sw : cw - sw + 2 * w + 1]) / sw > thr_p) & (
+        (at - near[:, : 2 * w + 1]) / cw > thr_p
     )
     j = last[:, ::-1].argmax(axis=1)
     stops = np.where(last[rows, 2 * w - j], e + w - j, e)

@@ -10,6 +10,7 @@ signal-to-noise ratio so receiver behavior can be studied reproducibly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,10 @@ class ChannelConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.gain <= 0:
-            raise ValueError("gain must be positive")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite or None, got {self.snr_db}")
+        if not (math.isfinite(self.gain) and self.gain > 0):
+            raise ValueError(f"gain must be finite and positive, got {self.gain}")
 
 
 def apply_channel(wave: Waveform, ch: ChannelConfig) -> Waveform:

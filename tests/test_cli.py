@@ -120,6 +120,20 @@ def test_channel_on_short_wav(tmp_path, capsys):
     assert len(read_wav(out).samples) == 10
 
 
+@pytest.mark.parametrize(
+    "flag, field",
+    [("--snr=nan", "snr_db"), ("--snr=-inf", "snr_db"), ("--gain=nan", "gain"), ("--gain=inf", "gain")],
+)
+def test_channel_rejects_non_finite_values(tmp_path, capsys, flag, field):
+    wav = tmp_path / "msg.wav"
+    out = tmp_path / "noisy.wav"
+    write_wav(wav, Waveform(np.full(10, 0.5), 48000))
+    assert main(["channel", str(wav), flag, "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {field} must be finite"), err
+    assert not out.exists()
+
+
 def test_bad_dsl_exit_code(tmp_path, capsys):
     assert main(["encode", "bogus", "--out", str(tmp_path / "x.pbm")]) == 1
 

@@ -33,7 +33,7 @@ from glyphwave.modem import (
     save_config,
     write_wav,
 )
-from glyphwave.pipeline import transmit
+from glyphwave.pipeline import ChannelConfig, apply_channel, transmit
 
 
 class TestConfigValidation:
@@ -355,6 +355,48 @@ class TestDemodulate:
                 assert len(got[0]) == len(got[1]) == 0
         assert clipped >= 48
 
+    def test_edge_refinement_across_chunks(self, rng):
+        # default-config waveforms longer than one 2**18-sample chunk of the
+        # block energy pass, cut so that the first chunk bound lies inside a
+        # run and the length is not a whole number of blocks
+        for scheme in SCHEMES:
+            cfg = ModemConfig(scheme=scheme)
+            bd, w = cfg.bit_duration, max(8, cfg.bit_duration // 2)
+            step = w * (2**18 // w)
+            glyphs = [random_glyph_bits(rng) for _ in range(int(rng.integers(5, 10)))]
+            frame = frame_message(glyphs, 3, (5, 7))
+            clean = modulate(frame, cfg).samples
+            spans = np.zeros(2 * len(frame.run_lengths) - 1, dtype=np.intp)
+            spans[0::2] = frame.run_lengths * bd
+            spans[1::2] = np.array(list(cfg.pause_samples.values()))[frame.pause_kinds]
+            run_stops = np.cumsum(spans)[0::2]
+            run_starts = run_stops - frame.run_lengths * bd
+            i = int(np.argmax(run_stops > step + bd))
+            lead = max(0, int(run_starts[i]) + bd // 2 - step) + int(rng.integers(bd // 4))
+            assert run_starts[i] < step + lead < run_stops[i]
+            trail = int(rng.integers(2 * bd))
+            trail += (len(clean) - lead - trail) % w == 0
+            x = clean[lead : len(clean) - trail]
+            assert len(x) > step and len(x) % w
+            for sigma in (0.0, 0.05, 0.3):
+                noisy = x + rng.normal(0, sigma, len(x)) if sigma else x
+                got = _active_segments(noisy, cfg)
+                want = loop_active_segments(energy_cumsum(np.pad(noisy, w)), cfg)
+                assert np.array_equal(got[0], want[0] - w)
+                assert np.array_equal(got[1], want[1] - w)
+                if not sigma:
+                    assert ((got[0] < step) & (got[1] > step)).any()
+
+    def test_matches_whole_waveform_reference_across_chunks(self):
+        # noisy default-config "em" at repetition 3: about four chunks
+        for scheme in SCHEMES:
+            cfg = ModemConfig(scheme=scheme)
+            wave = transmit("em", cfg, repetition=3)
+            for snr, seed in ((20, 1), (6, 2), (0, 3), (-4, 4)):
+                noisy = apply_channel(wave, ChannelConfig(snr_db=snr, gain=0.8, seed=seed))
+                want = demodulate_outcome(reference_demodulate, noisy, cfg)
+                assert demodulate_outcome(demodulate, noisy, cfg) == want
+
     def test_matches_whole_waveform_reference(self, rng):
         # seeded noisy waveforms, trimmed at either end, with a click or a
         # dropout: equal frames, or the same error class and message
@@ -394,8 +436,9 @@ class TestDemodulate:
         assert {"frame", NoSignalError, DesyncError, AmbiguousPauseError} <= seen
 
     def test_at_most_two_waveform_sized_arrays(self):
-        # the bit-slot matrix is the only one; the energy prefix sum is
-        # kept at the block bounds and around the edges, in 2 MB chunks
+        # the bit-slot matrix is the only one; the squares are summed per
+        # block in 2 MB chunks, and running energy sums are taken only in
+        # rows around the coarse edges
         for scheme in SCHEMES:
             cfg = ModemConfig(scheme=scheme)
             wave = transmit("em", cfg, repetition=3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,25 @@ class TestChannel:
     def test_gain_must_be_positive(self):
         with pytest.raises(ValueError):
             ChannelConfig(gain=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snr_db", math.nan),
+            ("snr_db", math.inf),
+            ("snr_db", -math.inf),
+            ("gain", math.nan),
+            ("gain", math.inf),
+            ("gain", -math.inf),
+        ],
+    )
+    def test_non_finite_values_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ChannelConfig(**{field: value})
+
+    def test_finite_extremes_are_accepted(self):
+        ch = ChannelConfig(snr_db=-40.0, gain=1e-6)
+        assert (ch.snr_db, ch.gain) == (-40.0, 1e-6)
 
 
 class TestRecognize:
