@@ -121,6 +121,8 @@ class ModemConfig:
                     f"carrier_hz must fit a whole number of cycles per bit, got {c:g}"
                 )
         if self.scheme == "ask":
+            if not (math.isfinite(self.amp0) and math.isfinite(self.amp1)):
+                raise ConfigInvalidError("amplitudes must be finite")
             if self.amp0 < 0 or self.amp1 <= 0:
                 raise ConfigInvalidError("amplitudes must be non-negative, amp1 positive")
             if self.amp0 >= self.amp1:
@@ -435,6 +437,7 @@ def read_wav(path: str | Path) -> Waveform:
 
 _INT_FIELDS = ("sample_rate", "bit_duration", "pause_row", "pause_glyph", "pause_message")
 _FLOAT_FIELDS = ("carrier_hz", "freq0_hz", "freq1_hz", "amp0", "amp1")
+_FIELD_TYPES = {"scheme": str} | dict.fromkeys(_INT_FIELDS, int) | dict.fromkeys(_FLOAT_FIELDS, float)
 
 
 def save_config(cfg: ModemConfig, path: str | Path) -> None:
@@ -454,13 +457,12 @@ def load_config(path: str | Path, **overrides) -> ModemConfig:
         if "=" not in line:
             raise ConfigInvalidError(f"line {ln}: expected 'key = value', got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key == "scheme":
-            values[key] = value
-        elif key in _INT_FIELDS:
-            values[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            values[key] = float(value)
-        else:
+        if key not in _FIELD_TYPES:
             raise ConfigInvalidError(f"line {ln}: unknown key {key!r}")
+        try:
+            values[key] = _FIELD_TYPES[key](value)
+        except ValueError:
+            kind = "an integer" if key in _INT_FIELDS else "a number"
+            raise ConfigInvalidError(f"line {ln}: {key} must be {kind}, got {value!r}") from None
     values.update(overrides)
     return ModemConfig(**values)

@@ -3,9 +3,9 @@
 Transmit: DSL text -> symbols -> glyph run (symbols joined by one blank
 cell) -> bitmaps -> framed bits -> waveform. Receive walks the same path
 backwards, voting across repeated copies, matching each recovered payload
-to the nearest canonical glyph, and re-parsing glyphs into symbols. A
-simulated channel applies gain and seeded white Gaussian noise at a given
-signal-to-noise ratio so receiver behavior can be studied reproducibly.
+to the nearest canonical glyph, and re-parsing glyphs into symbols in one
+linear pass. A simulated channel applies gain and seeded white Gaussian
+noise at a given SNR so receiver behavior can be studied reproducibly.
 """
 
 from __future__ import annotations
@@ -126,89 +126,86 @@ def recognize_glyph(
     return matches[0]
 
 
-_SPACETIME_PATTERN = tuple(glyph_sequence(SPACETIME))
-_MAXWELL_PATTERN = tuple(glyph_sequence(MAXWELL))
+# The fixed patterns, in the precedence they take over a bracket group.
+_PATTERNS = tuple((tuple(glyph_sequence(spec)), spec) for spec in (SPACETIME, MAXWELL))
+_BRACKETS = (Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN)
+_ARROWS, _TILDES = (Glyph.ARROW_UP, Glyph.ARROW_DOWN), (Glyph.TILDE_UPPER, Glyph.TILDE_LOWER)
 
 
-def _parse_tensor_group(glyphs: tuple[Glyph, ...], at: int) -> tuple[SymbolSpec, int]:
+def _parse_tensor_group(glyphs: tuple[Glyph, ...], at: int) -> tuple[int, SymbolSpec | str]:
+    """The bracket group at `at` as (end, symbol), or (offset, reason)."""
     n = len(glyphs)
-    for k, want in enumerate((Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN)):
+    for k, want in enumerate(_BRACKETS):
         if at + k >= n or glyphs[at + k] is not want:
-            raise UngrammaticalGlyphsError(f"expected {want.value} in bracket group", at + k)
-    i = at + 3
-    r = s = 0
-    affinity = at_point = False
-    if i < n and glyphs[i] in (Glyph.TILDE_UPPER, Glyph.TILDE_LOWER):
-        affinity = True
-        up, down = Glyph.TILDE_UPPER, Glyph.TILDE_LOWER
-    else:
-        up, down = Glyph.ARROW_UP, Glyph.ARROW_DOWN
+            return at + k, f"expected {want.value} in bracket group"
+    i, r, s = at + 3, 0, 0
+    affinity = i < n and glyphs[i] in _TILDES
+    up, down = _TILDES if affinity else _ARROWS
     while i < n and glyphs[i] is up:
         r, i = r + 1, i + 1
     while i < n and glyphs[i] is down:
         s, i = s + 1, i + 1
-    if not affinity and i < n and glyphs[i] is Glyph.POINT_DOT:
-        at_point, i = True, i + 1
+    at_point = not affinity and i < n and glyphs[i] is Glyph.POINT_DOT
+    i += at_point
     try:
-        spec = SymbolSpec(SymbolKind.TENSOR, r, s, at_point=at_point, affinity=affinity)
+        return i, SymbolSpec(SymbolKind.TENSOR, r, s, at_point=at_point, affinity=affinity)
     except ValueError as err:
-        reason = str(err)
-    else:
-        return spec, i
-    # Raised outside the handler, so the error has no __context__ whose
-    # traceback holds this frame and, through it, the caller's.
-    raise UngrammaticalGlyphsError(reason, at)
-
-
-def _parse_symbols(glyphs: tuple[Glyph, ...], at: int) -> list[SymbolSpec]:
-    """Parse symbols from `at` to the end, separator blanks between them.
-
-    The fixed spacetime and electromagnetic patterns take precedence, but
-    the parser backtracks to a generic reading when a fixed match leaves
-    an unparseable tail (a point-marked group right after the pattern,
-    for instance).
-    """
-    candidates: list[tuple[SymbolSpec, int]] = []
-    if glyphs[at : at + len(_SPACETIME_PATTERN)] == _SPACETIME_PATTERN:
-        candidates.append((SPACETIME, at + len(_SPACETIME_PATTERN)))
-    if glyphs[at : at + len(_MAXWELL_PATTERN)] == _MAXWELL_PATTERN:
-        candidates.append((MAXWELL, at + len(_MAXWELL_PATTERN)))
-    # Kept errors drop their tracebacks: a traceback holds its frames, and
-    # through them the caller's, so keeping it would pin receive's arrays
-    # in a reference cycle until the cyclic collector runs.
-    deepest: UngrammaticalGlyphsError | None = None
-    try:
-        candidates.append(_parse_tensor_group(glyphs, at))
-    except UngrammaticalGlyphsError as err:
-        deepest = err.with_traceback(None)
-
-    for spec, end in candidates:
-        try:
-            if end == len(glyphs):
-                return [spec]
-            if glyphs[end] is not Glyph.BLANK:
-                raise UngrammaticalGlyphsError("expected blank separator between symbols", end)
-            if end + 1 == len(glyphs):
-                raise UngrammaticalGlyphsError("dangling separator at end of message", end)
-            return [spec] + _parse_symbols(glyphs, end + 1)
-        except UngrammaticalGlyphsError as err:
-            if deepest is None or err.offset > deepest.offset:
-                deepest = err.with_traceback(None)
-    if deepest is None:
-        deepest = UngrammaticalGlyphsError("empty glyph run", at)
-    # The raised error's traceback holds this frame; drop the frame's own
-    # reference to the error so the two form no cycle.
-    try:
-        raise deepest
-    finally:
-        del deepest
+        return at, str(err)
 
 
 def parse_glyphs_to_message(glyphs: list[Glyph]) -> Message:
-    """Invert the glyph linearization back into symbols."""
-    if not glyphs:
+    """Invert the glyph linearization back into symbols, in linear time.
+
+    A forward pass lists the readings at each symbol start reachable from
+    glyph 0, fixed patterns before the bracket group. A backward pass keeps
+    at each start the first reading whose tail parses (so a point-marked
+    group right after the em pattern falls back to the generic reading),
+    else the deepest failure: the greatest offset, and on a tie the first
+    found, the bracket group's own failure before its readings' tails.
+    """
+    glyphs, n = tuple(glyphs), len(glyphs)
+    if not n:
         raise UngrammaticalGlyphsError("empty glyph run", 0)
-    return Message(tuple(_parse_symbols(tuple(glyphs), 0)))
+    table = {}  # start: (readings as (end, symbol), bracket group failure or None)
+    todo = {0}
+    while todo:
+        at = todo.pop()
+        readings = [(at + len(p), spec) for p, spec in _PATTERNS if glyphs[at : at + len(p)] == p]
+        end, group = _parse_tensor_group(glyphs, at)
+        if isinstance(group, str):
+            table[at] = readings, (end, group)
+        else:
+            table[at] = readings + [(end, group)], None
+        ends = [end for end, _ in table[at][0] if end + 1 < n and glyphs[end] is Glyph.BLANK]
+        todo.update(end + 1 for end in ends if end + 1 not in table)
+
+    chosen: dict[int, tuple[int, SymbolSpec]] = {}
+    failed: dict[int, tuple[int, str]] = {}
+    for at in sorted(table, reverse=True):
+        readings, deepest = table[at]
+        for end, spec in readings:
+            if end == n or end + 1 in chosen:  # a start only past a separator blank
+                chosen[at] = end, spec
+                break
+            if glyphs[end] is not Glyph.BLANK:
+                tail = end, "expected blank separator between symbols"
+            elif end + 1 == n:
+                tail = end, "dangling separator at end of message"
+            else:
+                tail = failed[end + 1]
+            if deepest is None or tail[0] > deepest[0]:
+                deepest = tail
+        else:
+            failed[at] = deepest
+    if 0 in failed:
+        offset, reason = failed[0]
+        raise UngrammaticalGlyphsError(reason, offset)
+    symbols, at = [], 0
+    while at < n:
+        end, spec = chosen[at]
+        symbols.append(spec)
+        at = end + 1
+    return Message(tuple(symbols))
 
 
 def message_glyphs(msg: Message) -> list[Glyph]:

@@ -134,6 +134,24 @@ def test_channel_rejects_non_finite_values(tmp_path, capsys, flag, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        ("scheme = ask\namp1 = inf\n", "amplitudes must be finite"),
+        ("scheme = ask\namp0 = nan\n", "amplitudes must be finite"),
+        ("# fast\nbit_duration = 4x0\n", "line 2: bit_duration must be an integer, got '4x0'"),
+    ],
+    ids=["inf-amp1", "nan-amp0", "malformed-number"],
+)
+def test_bad_config_file_is_reported(tmp_path, capsys, content, reason):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(content)
+    wav = tmp_path / "x.wav"
+    assert main(["transmit", "em", "--config", str(cfg_path), "--out", str(wav)]) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not wav.exists()
+
+
 def test_bad_dsl_exit_code(tmp_path, capsys):
     assert main(["encode", "bogus", "--out", str(tmp_path / "x.pbm")]) == 1
 

@@ -78,6 +78,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalidError):
             ModemConfig(scheme="ask", amp0=-0.1)
 
+    @pytest.mark.parametrize(
+        "amps",
+        [{"amp1": math.inf}, {"amp0": math.nan}, {"amp1": math.nan}, {"amp0": -math.inf}],
+        ids=["amp1-inf", "amp0-nan", "amp1-nan", "amp0--inf"],
+    )
+    def test_ask_amplitudes_must_be_finite(self, amps):
+        with pytest.raises(ConfigInvalidError, match="^amplitudes must be finite$"):
+            ModemConfig(scheme="ask", **amps)
+
 
 def one_glyph_frame(bits=(0, 1) * 17 + (1,)):
     rows = tuple(tuple(bits[r * 5 : (r + 1) * 5]) for r in range(7))
@@ -588,3 +597,20 @@ class TestConfigFiles:
         path.write_text("volume = 11\n")
         with pytest.raises(ConfigInvalidError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bit_duration = 4x0", "bit_duration must be an integer, got '4x0'"),
+            ("bit_duration = 480.0", "bit_duration must be an integer, got '480.0'"),
+            ("amp1 = loud", "amp1 must be a number, got 'loud'"),
+            ("carrier_hz =", "carrier_hz must be a number, got ''"),
+        ],
+        ids=["garbled-int", "float-for-int", "word", "empty"],
+    )
+    def test_malformed_number_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "modem.cfg"
+        path.write_text(f"scheme = fsk\n{line}\n")
+        with pytest.raises(ConfigInvalidError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"line 2: {message}"

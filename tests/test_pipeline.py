@@ -1,14 +1,14 @@
+import gc
 import math
+import time
+import weakref
 
 import numpy as np
 import pytest
 
-import gc
-import weakref
-
 from conftest import fast_config, middle_run_bit_flipped
-from glyphwave.framing import LengthMismatchError, frame_message, read_frame
-from glyphwave.glyphs import Glyph, bitmap_of, registry_for
+from glyphwave.framing import InconsistentFrameError, LengthMismatchError, frame_message, read_frame
+from glyphwave.glyphs import Glyph, bitmap_of, glyph_sequence, registry_for
 from glyphwave.modem import (
     AmbiguousPauseError,
     DesyncError,
@@ -18,7 +18,18 @@ from glyphwave.modem import (
     demodulate,
     modulate,
 )
-from glyphwave.notation import DslSyntaxError, canonical_messages, parse_dsl, print_dsl
+from glyphwave.notation import (
+    MAX_TOTAL_RANK,
+    MAXWELL,
+    SPACETIME,
+    DslSyntaxError,
+    Message,
+    SymbolKind,
+    SymbolSpec,
+    canonical_messages,
+    parse_dsl,
+    print_dsl,
+)
 from glyphwave.pipeline import (
     AmbiguousGlyphError,
     ChannelConfig,
@@ -219,6 +230,15 @@ class TestRecognize:
             recognize_glyph((0,) * 34)
 
 
+def assert_rejected(tail, message, offset):
+    """A bracket group followed by `tail` fails with exactly this error."""
+    with pytest.raises(UngrammaticalGlyphsError) as exc:
+        parse_glyphs_to_message([Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN] + tail)
+    assert str(exc.value) == f"{message} (glyph {offset})"
+    assert exc.value.offset == offset
+    assert exc.value.__context__ is None
+
+
 class TestGlyphParsing:
     def test_bare_vector(self):
         msg = parse_glyphs_to_message(
@@ -248,22 +268,23 @@ class TestGlyphParsing:
         assert exc.value.offset == 0
 
     def test_trailing_separator_rejected(self):
-        with pytest.raises(UngrammaticalGlyphsError):
-            parse_glyphs_to_message(
-                [Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN, Glyph.BLANK]
-            )
+        assert_rejected([Glyph.BLANK], "dangling separator at end of message", 3)
 
     def test_mixed_marks_rejected(self):
-        with pytest.raises(UngrammaticalGlyphsError):
-            parse_glyphs_to_message(
-                [Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN, Glyph.TILDE_UPPER, Glyph.ARROW_DOWN]
-            )
+        tail = [Glyph.TILDE_UPPER, Glyph.ARROW_DOWN]
+        assert_rejected(tail, "expected blank separator between symbols", 4)
 
     def test_up_after_down_rejected(self):
-        with pytest.raises(UngrammaticalGlyphsError):
-            parse_glyphs_to_message(
-                [Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN, Glyph.ARROW_DOWN, Glyph.ARROW_UP]
-            )
+        tail = [Glyph.ARROW_DOWN, Glyph.ARROW_UP]
+        assert_rejected(tail, "expected blank separator between symbols", 4)
+
+    def test_rank_ten_group_rejected(self):
+        assert_rejected([Glyph.ARROW_UP] * 10, "total rank 10 exceeds maximum 9", 0)
+
+    def test_empty_run_rejected(self):
+        with pytest.raises(UngrammaticalGlyphsError) as exc:
+            parse_glyphs_to_message([])
+        assert (str(exc.value), exc.value.offset) == ("empty glyph run (glyph 0)", 0)
 
     def test_em_shape_collision_prefers_fixed_pattern(self):
         # The three-symbol run (0,2) (0,1) (0,2) shares its glyph image
@@ -283,6 +304,161 @@ class TestGlyphParsing:
         # reading; the parser must not commit to the fixed pattern.
         msg = parse_dsl("tensor(0,2) tensor(0,1) tensor(0,2)@p")
         assert parse_glyphs_to_message(message_glyphs(msg)) == msg
+
+    def test_overlapping_em_chain_fails_in_linear_time(self):
+        # Every "tensor(0,2) form tensor(0,2)" window of the chain reads as
+        # em, so ordered choice with backtracking alone tries exponentially
+        # many readings before it reports the bad last symbol.
+        chain = parse_dsl(" ".join(["tensor(0,2) form"] * 24 + ["tensor(0,2)"]))
+        glyphs = message_glyphs(chain) + [Glyph.BLANK, Glyph.ARROW_UP]
+        assert len(glyphs) == 271
+        start = time.perf_counter()
+        with pytest.raises(UngrammaticalGlyphsError) as exc:
+            parse_glyphs_to_message(glyphs)
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == "expected lparen in bracket group (glyph 270)"
+        assert exc.value.offset == 270
+
+    def test_long_run_parses_without_recursion(self):
+        msg = parse_dsl(" ".join(["vector"] * 5000))
+        assert parse_glyphs_to_message(message_glyphs(msg)) == msg
+
+
+# The recursive, backtracking glyph parser that parse_glyphs_to_message
+# replaced, kept as the reference for its readings and its errors.
+_SPACETIME_PATTERN = tuple(glyph_sequence(SPACETIME))
+_MAXWELL_PATTERN = tuple(glyph_sequence(MAXWELL))
+
+
+def _reference_tensor_group(glyphs, at):
+    n = len(glyphs)
+    for k, want in enumerate((Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN)):
+        if at + k >= n or glyphs[at + k] is not want:
+            raise UngrammaticalGlyphsError(f"expected {want.value} in bracket group", at + k)
+    i = at + 3
+    r = s = 0
+    affinity = at_point = False
+    if i < n and glyphs[i] in (Glyph.TILDE_UPPER, Glyph.TILDE_LOWER):
+        affinity = True
+        up, down = Glyph.TILDE_UPPER, Glyph.TILDE_LOWER
+    else:
+        up, down = Glyph.ARROW_UP, Glyph.ARROW_DOWN
+    while i < n and glyphs[i] is up:
+        r, i = r + 1, i + 1
+    while i < n and glyphs[i] is down:
+        s, i = s + 1, i + 1
+    if not affinity and i < n and glyphs[i] is Glyph.POINT_DOT:
+        at_point, i = True, i + 1
+    try:
+        return SymbolSpec(SymbolKind.TENSOR, r, s, at_point=at_point, affinity=affinity), i
+    except ValueError as err:
+        raise UngrammaticalGlyphsError(str(err), at) from None
+
+
+def _reference_symbols(glyphs, at):
+    candidates = []
+    if glyphs[at : at + len(_SPACETIME_PATTERN)] == _SPACETIME_PATTERN:
+        candidates.append((SPACETIME, at + len(_SPACETIME_PATTERN)))
+    if glyphs[at : at + len(_MAXWELL_PATTERN)] == _MAXWELL_PATTERN:
+        candidates.append((MAXWELL, at + len(_MAXWELL_PATTERN)))
+    deepest = None
+    try:
+        candidates.append(_reference_tensor_group(glyphs, at))
+    except UngrammaticalGlyphsError as err:
+        deepest = err
+    for spec, end in candidates:
+        try:
+            if end == len(glyphs):
+                return [spec]
+            if glyphs[end] is not Glyph.BLANK:
+                raise UngrammaticalGlyphsError("expected blank separator between symbols", end)
+            if end + 1 == len(glyphs):
+                raise UngrammaticalGlyphsError("dangling separator at end of message", end)
+            return [spec] + _reference_symbols(glyphs, end + 1)
+        except UngrammaticalGlyphsError as err:
+            if deepest is None or err.offset > deepest.offset:
+                deepest = err
+    if deepest is None:
+        deepest = UngrammaticalGlyphsError("empty glyph run", at)
+    raise deepest
+
+
+def reference_parse_glyphs(glyphs):
+    """A Message, or the (message, offset) of the error the reference raises."""
+    if not glyphs:
+        return "empty glyph run (glyph 0)", 0
+    try:
+        return Message(tuple(_reference_symbols(tuple(glyphs), 0)))
+    except UngrammaticalGlyphsError as err:
+        return str(err), err.offset
+
+
+def random_symbol(rng):
+    kind = rng.integers(0, 8)
+    if kind == 0:
+        return SPACETIME
+    if kind == 1:
+        return MAXWELL
+    r, s = (int(v) for v in rng.integers(0, 4, 2))
+    if kind == 2 and r + s:
+        return SymbolSpec(SymbolKind.TENSOR, r, s, affinity=True)
+    if kind == 3:  # the ranks of em's groups, so em-shaped windows appear
+        r, s = 0, int(rng.integers(1, 3))
+    if kind == 4:  # at the total rank bound
+        r = int(rng.integers(0, MAX_TOTAL_RANK + 1))
+        s = MAX_TOTAL_RANK - r
+    return SymbolSpec(SymbolKind.TENSOR, r, s, at_point=bool(rng.random() < 0.3))
+
+
+def parser_inputs(rng):
+    """Glyph runs that read, and runs that fail in every way the grammar can."""
+    alphabet = list(Glyph)
+    runs = [message_glyphs(msg) for msg in canonical_messages().values()]
+    for _ in range(6000):
+        msg = Message(tuple(random_symbol(rng) for _ in range(int(rng.integers(1, 9)))))
+        glyphs = message_glyphs(msg)
+        runs.append(glyphs)
+        perturbed = list(glyphs)
+        i = int(rng.integers(0, len(glyphs)))
+        change = rng.integers(0, 5)
+        if change == 0:
+            perturbed[i] = alphabet[rng.integers(0, len(alphabet))]
+        elif change == 1:
+            del perturbed[i]
+        elif change == 2:
+            perturbed.insert(i, alphabet[rng.integers(0, len(alphabet))])
+        elif change == 3:  # pushes a group past the rank bound, or breaks it
+            perturbed[i:i] = [Glyph.ARROW_UP] * int(rng.integers(1, MAX_TOTAL_RANK + 2))
+        else:  # trailing marks
+            perturbed += [alphabet[g] for g in rng.integers(0, len(alphabet), rng.integers(1, 3))]
+        runs.append(perturbed)
+    group = [Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN]
+    pieces = [group, group] + [[g] for g in alphabet]
+    for _ in range(4000):
+        runs.append([alphabet[g] for g in rng.integers(0, len(alphabet), rng.integers(1, 41))])
+        glyphs = []
+        while len(glyphs) < rng.integers(1, 41):
+            glyphs += pieces[rng.integers(0, len(pieces))]
+        runs.append(glyphs[:40])
+    return runs
+
+
+def test_parser_matches_recursive_reference():
+    rng = np.random.default_rng(90210)
+    runs = parser_inputs(rng)
+    assert len(runs) >= 20000
+    readings = errors = 0
+    for glyphs in runs:
+        want = reference_parse_glyphs(glyphs)
+        if isinstance(want, Message):
+            assert parse_glyphs_to_message(glyphs) == want, glyphs
+            readings += 1
+            continue
+        with pytest.raises(UngrammaticalGlyphsError) as exc:
+            parse_glyphs_to_message(glyphs)
+        assert (str(exc.value), exc.value.offset) == want, glyphs
+        errors += 1
+    assert readings > 5000 and errors > 10000
 
 
 def resample(x, ratio):
@@ -326,6 +502,37 @@ PINNED_IMPAIRMENTS = {
 }
 PINNED_IMPAIRMENTS["psk"] = PINNED_IMPAIRMENTS["fsk"]
 
+# The same message and channel (25 dB, seed 11) with one fault in one copy:
+# 300 samples of carrier zeroed, a 60-sample click of +1 in a pause, or
+# the last 10 % of the waveform cut off. Every scheme fails alike.
+PINNED_ONE_COPY_FAULTS = {
+    "dropout": InconsistentFrameError,
+    "click": DesyncError,
+    "truncate": InconsistentFrameError,
+}
+
+
+def silences(x, min_len):
+    """[start, stop) of every run of exact zeros at least min_len long."""
+    edges = np.diff(np.concatenate([[0], (x == 0).astype(np.int8), [0]]))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    return [(a, b) for a, b in zip(starts.tolist(), stops.tolist()) if b - a >= min_len]
+
+
+def one_copy_fault_spans(clean, cfg):
+    """Dropout and click spans inside the middle copy of a clean
+    repetition-3 waveform: the centre of its longest stretch of carrier,
+    and the centre of its middle pause."""
+    gaps = silences(clean, cfg.pause_row // 2)
+    cut = (cfg.pause_glyph + cfg.pause_message) // 2
+    (_, c0), (c1, _) = [(a, b) for a, b in gaps if b - a > cut]
+    inner = [(a, b) for a, b in gaps if c0 < a and b < c1]
+    carrier = zip([c0] + [b for _, b in inner], [a for a, _ in inner] + [c1])
+    a, b = max(carrier, key=lambda span: span[1] - span[0])
+    dropout = slice((a + b) // 2 - 150, (a + b) // 2 + 150)
+    a, b = inner[len(inner) // 2]
+    return dropout, slice((a + b) // 2 - 30, (a + b) // 2 + 30)
+
 
 class TestImpairments:
     @pytest.mark.parametrize("scheme", ["ask", "fsk", "psk"])
@@ -345,6 +552,28 @@ class TestImpairments:
             waves[f"gain {gain}"] = apply_channel(clean, ch)
         got = {name: decoded_or_error(wave, cfg) for name, wave in waves.items()}
         assert got == PINNED_IMPAIRMENTS[scheme]
+
+    @pytest.mark.parametrize("scheme", ["ask", "fsk", "psk"])
+    def test_one_copy_faults_pinned(self, scheme):
+        # Each fault stays inside one of the three copies, yet every one
+        # of them fails the whole decode today.
+        cfg = fast_config(scheme)
+        clean = transmit("em", cfg, repetition=3)
+        dropout, click = one_copy_fault_spans(clean.samples, cfg)
+        x = apply_channel(clean, ChannelConfig(snr_db=25, seed=11)).samples
+        faulted = {name: x.copy() for name in ("dropout", "click")}
+        faulted["dropout"][dropout] = 0.0
+        faulted["click"][click] += 1.0
+        faulted["truncate"] = x[: int(round(len(x) * 0.9))]
+        assert clean.samples[dropout].any() and not clean.samples[click].any()
+        rate = cfg.sample_rate
+        got = {name: decoded_or_error(Waveform(y, rate), cfg) for name, y in faulted.items()}
+        assert got == PINNED_ONE_COPY_FAULTS
+
+    def test_noisy_ask_pinned(self):
+        cfg = fast_config("ask")
+        noisy = apply_channel(transmit("em", cfg, repetition=3), ChannelConfig(snr_db=20, seed=20))
+        assert decoded_or_error(noisy, cfg) == "em"
 
 
 class TestTransmitReceive:
