@@ -11,7 +11,6 @@ any code overhead in the payload itself.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -114,11 +113,7 @@ class LengthMismatchError(ValueError):
 
 
 class RepetitionMismatchError(ValueError):
-    """Repeated copies disagree structurally; carries a best-effort payload."""
-
-    def __init__(self, message: str, corrected_payload: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.corrected_payload = corrected_payload
+    """Repeated copies disagree structurally."""
 
 
 class GridInfo(NamedTuple):
@@ -168,12 +163,10 @@ def read_frame(frame: BitFrame) -> tuple[GridInfo, np.ndarray]:
     """Validate the frame structure and return its payloads.
 
     Row pauses separate the rows of one glyph block, glyph pauses the
-    blocks, message pauses the copies. Pause structure is authoritative;
-    the prime factorization of the per-glyph bit count is re-checked as an
-    independent verification and any disagreement is an error rather than
-    a reinterpretation. The payloads are a uint8 array of shape
-    (repetition, n_glyphs * width * height), one row of flat bits per copy
-    in transmission order.
+    blocks, message pauses the copies. Pause structure is authoritative:
+    any disagreement is an error rather than a reinterpretation. The
+    payloads are a uint8 array of shape (repetition, n_glyphs * width *
+    height), one row of flat bits per copy in transmission order.
     """
     lengths, kinds = frame.run_lengths, frame.pause_kinds
     if not len(lengths):
@@ -199,22 +192,8 @@ def read_frame(frame: BitFrame) -> tuple[GridInfo, np.ndarray]:
 
     n_glyphs = counts[0]
     if any(c != n_glyphs for c in counts):
-        # Vote over the copies that share the most common glyph count.
-        common = Counter(counts).most_common(1)[0][0]
-        copies = np.split(frame.bits, np.cumsum(counts)[:-1] * width * height)
-        good = [c for c, n in zip(copies, counts) if n == common]
-        raise RepetitionMismatchError(
-            f"copies disagree on glyph count: {counts}",
-            corrected_payload=majority_vote(good).payload,
-        )
-
-    per_glyph = width * height
-    if prime_pair_factorization(per_glyph) != tuple(sorted((width, height))):
-        raise NonPrimeDimensionsError(
-            f"per-glyph bit count {per_glyph} does not factor as {width}x{height}"
-        )
-    info = GridInfo(width, height, n_glyphs, len(counts))
-    return info, frame.bits.reshape(len(counts), -1)
+        raise RepetitionMismatchError(f"copies disagree on glyph count: {counts}")
+    return GridInfo(width, height, n_glyphs, len(counts)), frame.bits.reshape(len(counts), -1)
 
 
 def infer_grid(frame: BitFrame) -> GridInfo:
@@ -261,18 +240,12 @@ def majority_vote(copies: Sequence[Sequence[int]]) -> MajorityResult:
     return MajorityResult(tuple(voted.tolist()), tuple(np.flatnonzero(tie).tolist()))
 
 
-_PAUSE_TEXT = {PauseKind.ROW: "/", PauseKind.GLYPH: "//", PauseKind.MESSAGE: "///"}
-
-
 def frame_to_text(frame: BitFrame) -> str:
     """Compact dump: runs as 0/1 digits, pauses as /, //, ///."""
-    out = []
-    for e in frame.elements:
-        if isinstance(e, Run):
-            out.append("".join(str(b) for b in e.bits))
-        else:
-            out.append(_PAUSE_TEXT[e.kind])
-    return "".join(out)
+    runs = np.split(frame.bits + ord("0"), np.cumsum(frame.run_lengths)[:-1])
+    # A pause of kind k (in tuple(PauseKind) order) is k + 1 slashes.
+    pauses = ["/" * (k + 1) for k in frame.pause_kinds.tolist()] + [""]
+    return "".join(r.tobytes().decode() + p for r, p in zip(runs, pauses))
 
 
 def frame_from_text(text: str) -> BitFrame:

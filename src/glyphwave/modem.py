@@ -6,9 +6,8 @@ configured stretch of silence. With a clean channel the round trip is
 exact for every scheme.
 
 The receiver decides the whole waveform in one pass and allocates one
-waveform-sized array, the bit-slot matrix (and a zero-padded copy of the
-waveform only when a slot reaches past its ends). It builds no running
-energy sum over the waveform: the squared samples summed per block give
+waveform-sized array, the bit-slot matrix. It builds no running energy
+sum over the waveform: the squared samples summed per block give
 the block powers that find every active segment, and short running sums
 in rows around each coarse edge give the short-window and confirm-window
 powers that refine the edge. Then every segment's bit count, every
@@ -201,25 +200,37 @@ def modulate(frame: BitFrame, cfg: ModemConfig) -> Waveform:
     return Waveform(chunks[rows].reshape(-1), cfg.sample_rate)
 
 
+def _rows(samples: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+    """The width samples from each f in first, as the rows of a new array.
+
+    Samples outside the waveform read as silence: the few rows that reach
+    past an end are gathered from a clipped start, then rewritten.
+    """
+    m = len(samples)
+    if m < width:
+        rows = np.empty((len(first), width))
+    else:
+        rows = sliding_window_view(samples, width)[np.clip(first, 0, m - width)]
+    past = (first < 0) | (first > m - width)
+    for r, f in zip(np.flatnonzero(past).tolist(), first[past].tolist()):
+        a, b = (min(max(v, 0), m) for v in (f, f + width))
+        rows[r] = 0.0
+        rows[r, a - f : b - f] = samples[a:b]
+    return rows
+
+
 def _cum_rows(samples: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
     """Running energy sums over width - 1 samples from each f in first.
 
     Row r is 0 followed by the running sum of the squares of samples
     first[r], first[r] + 1, ..., so rows[r, b] - rows[r, a] is the energy of
-    the b - a samples from first[r] + a. Samples outside the waveform read
-    as silence.
+    the b - a samples from first[r] + a: the row of _rows from first[r] - 1
+    with that sample set to 0, squared and summed in place. Samples outside
+    the waveform read as silence.
     """
-    m = len(samples)
-    rows = np.empty((len(first), width))
+    rows = _rows(samples, first - 1, width)
     rows[:, 0] = 0.0
-    inside = (first >= 0) & (first <= m - (width - 1))
-    if inside.any():
-        rows[inside, 1:] = sliding_window_view(samples, width - 1)[first[inside]]
-    for r, f in zip(np.flatnonzero(~inside).tolist(), first[~inside].tolist()):
-        a, b = max(f, 0), min(f + width - 1, m)
-        rows[r, 1:] = 0.0
-        rows[r, 1 + a - f : 1 + b - f] = samples[a:b]
-    np.square(rows[:, 1:], out=rows[:, 1:])
+    np.square(rows, out=rows)
     return np.cumsum(rows, axis=1, out=rows)
 
 
@@ -230,11 +241,10 @@ def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray,
     An edge may sit up to max(8, bit_duration // 2) samples outside the
     waveform.
     """
-    # The waveform is read as padded with w silent samples per side, so edge
-    # refinement behaves the same at its ends as between runs; otherwise the
-    # recentered slot grid of a boundary run shifts by half the overshoot
-    # and rotates the carrier phase under the correlators. Positions below
-    # are in padded coordinates: padded sample p is waveform sample p - w.
+    # The waveform is read as if w silent samples lay beyond each end, so
+    # edge refinement behaves the same at its ends as between runs;
+    # otherwise the recentered slot grid of a boundary run shifts by half
+    # the overshoot and rotates the carrier phase under the correlators.
     # Block energies are squares summed per block, and the edge windows
     # come from short running sums in rows around each coarse edge: a
     # running sum over the whole waveform costs about 2.5 times as much per
@@ -243,15 +253,14 @@ def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray,
     sw = max(2, cfg.bit_duration // 24)
     cw = max(sw, cfg.bit_duration // 4)
     m = len(samples)
-    n = m + 2 * w
-    bounds = np.append(np.arange(0, n, w), n)
-    # Block 0 and the blocks past the last sample are padding, of energy 0;
-    # block 1 + j holds the waveform samples from j w. The squares are taken
-    # in chunks of whole blocks of about 2**18 samples (2 MB): a whole
-    # fast-config message, a quarter of a default-config one. The buffer
-    # keeps that size for shorter waveforms: pages it never writes cost
-    # nothing, and sizing it to the waveform measured slower on short
-    # messages.
+    bounds = np.append(np.arange(-w, m + w, w), m + w)
+    # Block 0, before the first sample, and the blocks past the last sample
+    # are silence, of energy 0; block 1 + j holds the samples from j w. The
+    # squares are taken in chunks of whole blocks of about 2**18 samples
+    # (2 MB): a whole fast-config message, a quarter of a default-config
+    # one. The buffer keeps that size for shorter waveforms: pages it never
+    # writes cost nothing, and sizing it to the waveform measured slower on
+    # short messages.
     step = w * max(1, 2**18 // w)
     buf = np.empty(step)
     block_e = np.zeros(len(bounds) - 1)
@@ -286,14 +295,14 @@ def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray,
     # search window holds no hot sample keeps its coarse position.
     s, e = bounds[edges == 1], bounds[edges == -1]
     rows = np.arange(len(s))
-    near = _cum_rows(samples, s - 2 * w, 2 * w + cw)  # near[:, a] sums [s - w, s - w + a)
+    near = _cum_rows(samples, s - w, 2 * w + cw)  # near[:, a] sums [s - w, s - w + a)
     at = near[:, : 2 * w]
     first = ((near[:, sw : sw + 2 * w] - at) / sw > thr_p) & (
         (near[:, cw : cw + 2 * w] - at) / cw > thr_p
     )
     i = first.argmax(axis=1)
     starts = np.where(first[rows, i], s - w + i, s)
-    near = _cum_rows(samples, e - 2 * w - cw, 2 * w + cw + 1)
+    near = _cum_rows(samples, e - w - cw, 2 * w + cw + 1)
     at = near[:, cw:]  # at[:, b] sums [e - w - cw, e - w + b)
     last = ((at - near[:, cw - sw : cw - sw + 2 * w + 1]) / sw > thr_p) & (
         (at - near[:, : 2 * w + 1]) / cw > thr_p
@@ -301,7 +310,7 @@ def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray,
     j = last[:, ::-1].argmax(axis=1)
     stops = np.where(last[rows, 2 * w - j], e + w - j, e)
     keep = stops - starts >= cfg.bit_duration // 2
-    return starts[keep] - w, stops[keep] - w
+    return starts[keep], stops[keep]
 
 
 def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
@@ -368,11 +377,7 @@ def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
     ends = np.cumsum(nbits)
     run = np.repeat(np.arange(len(starts)), nbits)
     pos = grid[run] + (np.arange(len(run)) - (ends - nbits)[run]) * bd
-    x = wave.samples
-    lo, hi = max(0, -int(pos.min())), max(0, int(pos.max()) + bd - len(x))
-    if lo or hi:
-        x = np.pad(x, (lo, hi))
-    slots = sliding_window_view(x, bd)[pos + lo]
+    slots = _rows(wave.samples, pos, bd)
     short = excess < 0
     cut = -excess[short]
     cols = np.arange(bd)
