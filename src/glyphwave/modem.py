@@ -27,6 +27,7 @@ the configuration enforces.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +36,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .framing import BitFrame, PauseKind
 
-SCHEMES = ("ask", "fsk", "psk")
+# The frequencies each scheme must fit a whole number of cycles into one bit.
+_WHOLE_CYCLES = {"ask": (), "fsk": ("freq0_hz", "freq1_hz"), "psk": ("carrier_hz",)}
+SCHEMES = tuple(_WHOLE_CYCLES)
 
 # Tolerance used when pause lengths are classified by nearest configured
 # duration: measured silence must land within this fraction of a kind.
@@ -56,14 +59,6 @@ class AmbiguousPauseError(ValueError):
 
 class DesyncError(ValueError):
     """An active segment is not close to a whole number of bits."""
-
-
-def _cycles(freq_hz: float, bit_duration: int, sample_rate: int) -> float:
-    return freq_hz * bit_duration / sample_rate
-
-
-def _is_integral(x: float) -> bool:
-    return abs(x - round(x)) < 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,20 +99,13 @@ class ModemConfig:
             f = getattr(self, name)
             if not (0 < f < nyquist):
                 raise ConfigInvalidError(f"{name}={f} must sit between 0 and {nyquist}")
-        if self.scheme == "fsk":
-            if self.freq0_hz == self.freq1_hz:
-                raise ConfigInvalidError("fsk tones must differ")
-            for name in ("freq0_hz", "freq1_hz"):
-                c = _cycles(getattr(self, name), self.bit_duration, self.sample_rate)
-                if not _is_integral(c) or round(c) < 1:
-                    raise ConfigInvalidError(
-                        f"{name} must fit a whole number of cycles per bit, got {c:g}"
-                    )
-        if self.scheme == "psk":
-            c = _cycles(self.carrier_hz, self.bit_duration, self.sample_rate)
-            if not _is_integral(c) or round(c) < 1:
+        if self.scheme == "fsk" and self.freq0_hz == self.freq1_hz:
+            raise ConfigInvalidError("fsk tones must differ")
+        for name in _WHOLE_CYCLES[self.scheme]:
+            c = getattr(self, name) * self.bit_duration / self.sample_rate
+            if abs(c - round(c)) >= 1e-9 or round(c) < 1:
                 raise ConfigInvalidError(
-                    f"carrier_hz must fit a whole number of cycles per bit, got {c:g}"
+                    f"{name} must fit a whole number of cycles per bit, got {c:g}"
                 )
         if self.scheme == "ask":
             if not (math.isfinite(self.amp0) and math.isfinite(self.amp1)):
@@ -440,16 +428,12 @@ def read_wav(path: str | Path) -> Waveform:
     return Waveform(samples, rate)
 
 
-_INT_FIELDS = ("sample_rate", "bit_duration", "pause_row", "pause_glyph", "pause_message")
-_FLOAT_FIELDS = ("carrier_hz", "freq0_hz", "freq1_hz", "amp0", "amp1")
-_FIELD_TYPES = {"scheme": str} | dict.fromkeys(_INT_FIELDS, int) | dict.fromkeys(_FLOAT_FIELDS, float)
+# The config file's keys and value types, in declaration order.
+_FIELD_TYPES = typing.get_type_hints(ModemConfig)
 
 
 def save_config(cfg: ModemConfig, path: str | Path) -> None:
-    lines = [f"scheme = {cfg.scheme}"]
-    for name in _INT_FIELDS + _FLOAT_FIELDS:
-        lines.append(f"{name} = {getattr(cfg, name)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("".join(f"{name} = {getattr(cfg, name)}\n" for name in _FIELD_TYPES))
 
 
 def load_config(path: str | Path, **overrides) -> ModemConfig:
@@ -467,7 +451,7 @@ def load_config(path: str | Path, **overrides) -> ModemConfig:
         try:
             values[key] = _FIELD_TYPES[key](value)
         except ValueError:
-            kind = "an integer" if key in _INT_FIELDS else "a number"
+            kind = "an integer" if _FIELD_TYPES[key] is int else "a number"
             raise ConfigInvalidError(f"line {ln}: {key} must be {kind}, got {value!r}") from None
     values.update(overrides)
     return ModemConfig(**values)

@@ -93,39 +93,33 @@ class Message:
 
 _RANKED = re.compile(r"^(tensor|affinity)\((\d+),(\d+)\)(@p)?$")
 
-_PLAIN_TOKENS = {
-    "vector": (1, 0, False),
-    "vector@p": (1, 0, True),
-    "form": (0, 1, False),
-    "form@p": (0, 1, True),
-    "riemann": (1, 3, False),
+# The symbols written by name. print_symbol emits these names; parse_dsl
+# also reads the alias riemann, which is never printed.
+_NAMED = {
+    "spacetime": SPACETIME,
+    "em": MAXWELL,
+    "vector": tensor(1, 0),
+    "vector@p": tensor(1, 0, at_point=True),
+    "form": tensor(0, 1),
+    "form@p": tensor(0, 1, at_point=True),
 }
+_NAME_OF = {spec: name for name, spec in _NAMED.items()}
+_PARSE_NAMED = _NAMED | {"riemann": tensor(1, 3)}
 
 
 def _parse_token(token: str, position: int) -> SymbolSpec:
-    if token == "spacetime":
-        return SPACETIME
-    if token == "em":
-        return MAXWELL
-    if token in _PLAIN_TOKENS:
-        r, s, at_p = _PLAIN_TOKENS[token]
-        return tensor(r, s, at_point=at_p)
+    if token in _PARSE_NAMED:
+        return _PARSE_NAMED[token]
     m = _RANKED.match(token)
     if m is None:
         raise DslSyntaxError(f"unknown token {token!r}", position)
-    name, r_text, s_text, at_p = m.groups()
-    r, s = int(r_text), int(s_text)
-    if r + s > MAX_TOTAL_RANK:
-        raise DslSyntaxError(
-            f"total rank {r + s} in {token!r} exceeds maximum {MAX_TOTAL_RANK}", position
+    name, r, s, at_p = m.groups()
+    try:
+        return SymbolSpec(
+            SymbolKind.TENSOR, int(r), int(s), at_point=bool(at_p), affinity=name == "affinity"
         )
-    if name == "affinity":
-        if at_p:
-            raise DslSyntaxError(f"affinity token {token!r} admits no @p suffix", position)
-        if r + s == 0:
-            raise DslSyntaxError(f"affinity token {token!r} needs at least one mark", position)
-        return affinity(r, s)
-    return tensor(r, s, at_point=bool(at_p))
+    except ValueError as err:
+        raise DslSyntaxError(f"{err} in {token!r}", position) from None
 
 
 def parse_dsl(text: str) -> Message:
@@ -143,18 +137,11 @@ def parse_dsl(text: str) -> Message:
 
 def print_symbol(spec: SymbolSpec) -> str:
     """Canonical token for one symbol; parse_dsl inverts it exactly."""
-    if spec.kind is SymbolKind.SPACETIME:
-        return "spacetime"
-    if spec.kind is SymbolKind.MAXWELL:
-        return "em"
-    if spec.affinity:
-        return f"affinity({spec.contra_rank},{spec.co_rank})"
+    if spec in _NAME_OF:
+        return _NAME_OF[spec]
+    word = "affinity" if spec.affinity else "tensor"
     suffix = "@p" if spec.at_point else ""
-    if (spec.contra_rank, spec.co_rank) == (1, 0):
-        return "vector" + suffix
-    if (spec.contra_rank, spec.co_rank) == (0, 1):
-        return "form" + suffix
-    return f"tensor({spec.contra_rank},{spec.co_rank}){suffix}"
+    return f"{word}({spec.contra_rank},{spec.co_rank}){suffix}"
 
 
 def print_dsl(msg: Message) -> str:

@@ -43,6 +43,10 @@ class UnrecoverableMessageError(ValueError):
         self.failures = failures
 
 
+# At or below this SNR the noise scale 10 ** (-snr_db / 20) overflows a float.
+_MIN_SNR_DB = -20 * math.log10(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Additive white Gaussian noise channel with scalar gain.
@@ -57,8 +61,10 @@ class ChannelConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite or None, got {self.snr_db}")
+        if self.snr_db is not None and not _MIN_SNR_DB < self.snr_db < math.inf:
+            raise ValueError(
+                f"snr_db must be finite and above {_MIN_SNR_DB:g} or None, got {self.snr_db}"
+            )
         if not (math.isfinite(self.gain) and self.gain > 0):
             raise ValueError(f"gain must be finite and positive, got {self.gain}")
 
@@ -69,18 +75,20 @@ def apply_channel(wave: Waveform, ch: ChannelConfig) -> Waveform:
     if ch.snr_db is None:
         return Waveform(out, wave.sample_rate)
     # Pauses are exact zeros before noise; dilate the non-zero mask 8 samples
-    # each way so in-carrier zero crossings do not bias the reference RMS.
-    # counts[i + 17] - counts[i] is the number of non-zero samples in
-    # [i - 8, i + 8], counted exactly at any length.
-    padded = np.concatenate([np.zeros(9, bool), out != 0, np.zeros(8, bool)])
-    counts = np.cumsum(padded)
-    active = counts[17:] - counts[:-17] > 0
+    # each way so in-carrier zero crossings do not bias the reference RMS:
+    # or-ing in the mask shifted by +k, then by -k, adds the offsets ±k, and
+    # ±1, ±2, ±4, ±1 reach every offset up to 8. Past the ends counts as zero.
+    active = out != 0
+    for k in (1, 2, 4, 1):
+        active[k:] |= active[:-k]
+        active[:-k] |= active[k:]
     if not np.any(active):
         return Waveform(out, wave.sample_rate)
     signal_rms = float(np.sqrt(np.mean(out[active] ** 2)))
     sigma = signal_rms * 10 ** (-ch.snr_db / 20)
-    rng = np.random.default_rng(ch.seed)
-    return Waveform(out + rng.normal(0.0, sigma, len(out)), wave.sample_rate)
+    noisy = np.random.default_rng(ch.seed).normal(0.0, sigma, len(out))
+    noisy += out
+    return Waveform(noisy, wave.sample_rate)
 
 
 def recognize_glyphs(

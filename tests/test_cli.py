@@ -122,7 +122,13 @@ def test_channel_on_short_wav(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, field",
-    [("--snr=nan", "snr_db"), ("--snr=-inf", "snr_db"), ("--gain=nan", "gain"), ("--gain=inf", "gain")],
+    [
+        ("--snr=nan", "snr_db"),
+        ("--snr=-inf", "snr_db"),
+        ("--snr=-7000", "snr_db"),
+        ("--gain=nan", "gain"),
+        ("--gain=inf", "gain"),
+    ],
 )
 def test_channel_rejects_non_finite_values(tmp_path, capsys, flag, field):
     wav = tmp_path / "msg.wav"

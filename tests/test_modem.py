@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -586,6 +587,15 @@ class TestConfigFiles:
         cfg = fast_config("psk", amp0=0.1)
         path = tmp_path / "modem.cfg"
         save_config(cfg, path)
+        assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_save_writes_each_field_once_in_declaration_order(self, tmp_path, scheme):
+        cfg = fast_config(scheme)
+        path = tmp_path / "modem.cfg"
+        save_config(cfg, path)
+        keys = [line.partition(" = ")[0] for line in path.read_text().splitlines()]
+        assert keys == [field.name for field in dataclasses.fields(ModemConfig)]
         assert load_config(path) == cfg
 
     def test_comments_and_overrides(self, tmp_path):

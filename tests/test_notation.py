@@ -12,6 +12,7 @@ from glyphwave.notation import (
     canonical_messages,
     parse_dsl,
     print_dsl,
+    print_symbol,
     tensor,
 )
 
@@ -56,6 +57,21 @@ class TestParse:
         with pytest.raises(DslSyntaxError):
             parse_dsl("affinity(1,2)@p")
 
+    @pytest.mark.parametrize(
+        "token, reason",
+        [
+            ("tensor(5,5)", "total rank 10 exceeds maximum 9"),
+            ("affinity(0,0)", "affinity symbols need at least one mark"),
+            ("affinity(1,2)@p", "affinity symbols carry no point dot"),
+        ],
+        ids=["rank-cap", "no-mark", "point-dot"],
+    )
+    def test_invalid_token_gives_the_model_reason(self, token, reason):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_dsl(f"vector {token} em")
+        assert exc.value.position == 1
+        assert str(exc.value) == f"{reason} in {token!r} (token 1)"
+
     def test_alias_coherence(self):
         assert parse_dsl("riemann") == parse_dsl("tensor(1,3)")
         assert parse_dsl("vector") == parse_dsl("tensor(1,0)")
@@ -87,6 +103,21 @@ def all_small_specs(max_rank=3):
             if r + s >= 1:
                 specs.append(affinity(r, s))
     return specs
+
+
+def test_every_valid_symbol_prints_to_a_token_that_parses_back():
+    specs = [SPACETIME, MAXWELL]
+    for r in range(MAX_TOTAL_RANK + 1):
+        for s in range(MAX_TOTAL_RANK + 1 - r):
+            specs += [tensor(r, s), tensor(r, s, at_point=True)]
+            if r + s >= 1:
+                specs.append(affinity(r, s))
+    assert len(specs) == 166
+    for spec in specs:
+        assert parse_dsl(print_symbol(spec)).symbols == (spec,)
+    for name in ("spacetime", "em", "vector", "vector@p", "form", "form@p"):
+        assert print_dsl(parse_dsl(name)) == name
+    assert print_dsl(parse_dsl("riemann")) == "tensor(1,3)"
 
 
 def test_round_trip_exhaustive_small_ranks():

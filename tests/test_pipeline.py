@@ -1,6 +1,7 @@
 import gc
 import math
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -152,6 +153,7 @@ class TestChannel:
             ("snr_db", math.nan),
             ("snr_db", math.inf),
             ("snr_db", -math.inf),
+            ("snr_db", -7000.0),
             ("gain", math.nan),
             ("gain", math.inf),
             ("gain", -math.inf),
@@ -160,6 +162,30 @@ class TestChannel:
     def test_non_finite_values_are_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ChannelConfig(**{field: value})
+
+    def test_snr_refused_exactly_where_its_noise_scale_overflows(self):
+        low, high = -7000.0, -6000.0  # 10 ** (-snr_db / 20) overflows at low, not at high
+        while math.nextafter(low, high) != high:
+            mid = (low + high) / 2
+            try:
+                10 ** (-mid / 20)
+                high = mid
+            except OverflowError:
+                low = mid
+        with pytest.raises(ValueError, match="^snr_db must be finite"):
+            ChannelConfig(snr_db=low)
+        assert ChannelConfig(snr_db=high).snr_db == high
+
+    def test_peak_memory_of_a_noisy_channel(self):
+        for scheme in ("fsk", "ask"):
+            wave = transmit("em", ModemConfig(scheme=scheme), repetition=3)
+            tracemalloc.start()
+            try:
+                apply_channel(wave, ChannelConfig(snr_db=10, gain=0.8, seed=1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * wave.samples.nbytes, scheme
 
     def test_finite_extremes_are_accepted(self):
         ch = ChannelConfig(snr_db=-40.0, gain=1e-6)
