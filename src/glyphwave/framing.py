@@ -124,36 +124,45 @@ class GridInfo(NamedTuple):
 
 
 def frame_message(
-    glyph_bits: Sequence[GlyphBits], repetition: int, dims: tuple[int, int]
+    glyph_bits: np.ndarray | Sequence[GlyphBits], repetition: int, dims: tuple[int, int]
 ) -> BitFrame:
-    """Frame serialized glyphs for transmission.
+    """Frame glyph pixels for transmission.
 
-    Each glyph becomes height runs of width bits joined by row pauses;
-    glyphs are joined by glyph pauses and the whole payload is repeated
-    with message pauses between copies.
+    glyph_bits is a (n_glyphs, height, width) array of 0/1 pixels, or a
+    sequence of serialized glyphs. Each glyph becomes height runs of width
+    bits joined by row pauses; glyphs are joined by glyph pauses and the
+    whole payload is repeated with message pauses between copies.
     """
     width, height = dims
     if repetition < 1:
         raise ValueError("repetition must be at least 1")
-    if not glyph_bits:
+    if not len(glyph_bits):
         raise ValueError("nothing to frame")
     if not (is_prime(width) and is_prime(height)):
         raise NonPrimeDimensionsError(f"{width}x{height} is not a prime pair")
-    for gb in glyph_bits:
-        if gb.height != height or gb.width != width:
-            raise DimensionMismatchError(
-                f"glyph bits are {gb.width}x{gb.height}, frame wants {width}x{height}"
-            )
+    pixels, got = glyph_bits, None
+    if not isinstance(pixels, np.ndarray):
+        try:
+            pixels = np.array([gb.rows for gb in glyph_bits], dtype=np.uint8)
+        except ValueError:
+            # Glyphs of unequal sizes do not stack: name the first off the grid.
+            sizes = (f"{gb.width}x{gb.height}" for gb in glyph_bits)
+            got = next((size for size in sizes if size != f"{width}x{height}"), None)
+            if got is None:
+                raise
+    if got is None and pixels.shape[1:] != (height, width):
+        got = "x".join(map(str, pixels.shape[:0:-1]))
+    if got is not None:
+        raise DimensionMismatchError(f"glyph bits are {got}, frame wants {width}x{height}")
 
-    per_copy = len(glyph_bits) * height
-    rows = np.array([gb.rows for gb in glyph_bits], dtype=np.uint8)
+    per_copy = len(pixels) * height
     # Row pauses inside a glyph, a glyph pause after its last row, and the
     # last glyph pause of a copy turned into the message pause.
     kinds = np.full(per_copy, _ROW, dtype=np.int8)
     kinds[height - 1 :: height] = _GLYPH
     kinds[-1] = _MESSAGE
     return BitFrame(
-        np.tile(rows.reshape(-1), repetition),
+        np.tile(pixels.reshape(-1), repetition),
         np.full(per_copy * repetition, width),
         np.tile(kinds, repetition)[:-1],
     )

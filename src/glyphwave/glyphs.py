@@ -5,12 +5,22 @@ each glyph owns one canonical width x height bitmap (5x7 by default).
 Grid sides are prime so a flattened payload factors back into its
 rectangle unambiguously. Alternative prime-pair grids can be installed as
 additional registries; there is no automatic rescaling.
+
+Installing a registry (the default table at import, then register_table)
+also builds its pixel matrix: one read-only uint8 row of width x height
+pixels per glyph, in table order. The transmitter gathers its glyphs'
+rows from that matrix and the recognizer compares payloads with it, so
+neither rebuilds bitmaps per message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from .notation import SymbolKind, SymbolSpec
 
@@ -147,9 +157,18 @@ def _build_default_table() -> dict[Glyph, GlyphBitmap]:
     return table
 
 
-_REGISTRIES: dict[tuple[int, int], dict[Glyph, GlyphBitmap]] = {
-    DEFAULT_DIMS: _build_default_table()
-}
+class _Registry(NamedTuple):
+    table: Mapping[Glyph, GlyphBitmap]
+    pixels: np.ndarray  # (len(table), width * height) uint8, table order
+
+
+def _registry(table: dict[Glyph, GlyphBitmap]) -> _Registry:
+    pixels = np.array([bm.pixels for bm in table.values()], dtype=np.uint8)
+    pixels.flags.writeable = False
+    return _Registry(MappingProxyType(dict(table)), pixels)
+
+
+_REGISTRIES: dict[tuple[int, int], _Registry] = {DEFAULT_DIMS: _registry(_build_default_table())}
 
 
 def register_table(dims: tuple[int, int], table: dict[Glyph, GlyphBitmap]) -> None:
@@ -161,7 +180,7 @@ def register_table(dims: tuple[int, int], table: dict[Glyph, GlyphBitmap]) -> No
     for g, bm in table.items():
         if (bm.width, bm.height) != (width, height):
             raise ValueError(f"bitmap for {g.value} is {bm.width}x{bm.height}, not {width}x{height}")
-    _REGISTRIES[(width, height)] = dict(table)
+    _REGISTRIES[(width, height)] = _registry(table)
 
 
 def unregister_table(dims: tuple[int, int]) -> None:
@@ -170,11 +189,26 @@ def unregister_table(dims: tuple[int, int]) -> None:
     _REGISTRIES.pop(dims, None)
 
 
-def registry_for(dims: tuple[int, int]) -> dict[Glyph, GlyphBitmap]:
+def _installed(dims: tuple[int, int]) -> _Registry:
     try:
         return _REGISTRIES[tuple(dims)]
     except KeyError:
         raise UnsupportedDimensionsError(f"no glyph registry for {dims[0]}x{dims[1]}") from None
+
+
+def registry_for(dims: tuple[int, int]) -> Mapping[Glyph, GlyphBitmap]:
+    """The installed glyph table at dims, read-only."""
+    return _installed(dims).table
+
+
+def glyph_pixels(dims: tuple[int, int]) -> tuple[tuple[Glyph, ...], np.ndarray]:
+    """The glyphs of the registry at dims and its read-only pixel matrix.
+
+    Row i of the (n_glyphs, width * height) uint8 matrix is the row-major
+    bitmap of glyph i, 1 = black.
+    """
+    table, pixels = _installed(dims)
+    return tuple(table), pixels
 
 
 def bitmap_of(glyph: Glyph, dims: tuple[int, int] = DEFAULT_DIMS) -> GlyphBitmap:

@@ -27,6 +27,7 @@ the configuration enforces.
 from __future__ import annotations
 
 import math
+import operator
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,6 +91,13 @@ class ModemConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigInvalidError(f"unknown scheme {self.scheme!r}")
+        # The sample counts, the int fields, must be integers; numpy integers pass.
+        for name in [name for name, kind in _FIELD_TYPES.items() if kind is int]:
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigInvalidError(f"{name} must be an integer, got {value!r}") from None
         if self.sample_rate <= 0:
             raise ConfigInvalidError("sample_rate must be positive")
         if self.bit_duration < 8:
@@ -185,7 +193,7 @@ def modulate(frame: BitFrame, cfg: ModemConfig) -> Waveform:
     on = np.repeat(np.arange(len(spans)) % 2 == 0, spans)
     rows = np.full(len(on), 2 * k)
     rows[on] = (frame.bits.astype(np.intp)[:, None] * k + np.arange(k)).reshape(-1)
-    return Waveform(chunks[rows].reshape(-1), cfg.sample_rate)
+    return Waveform(np.take(chunks, rows, axis=0).reshape(-1), cfg.sample_rate)
 
 
 def _rows(samples: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:

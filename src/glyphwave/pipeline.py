@@ -1,11 +1,12 @@
 """End-to-end transmitter and receiver.
 
 Transmit: DSL text -> symbols -> glyph run (symbols joined by one blank
-cell) -> bitmaps -> framed bits -> waveform. Receive walks the same path
-backwards, voting across repeated copies, matching each recovered payload
-to the nearest canonical glyph, and re-parsing glyphs into symbols in one
-linear pass. A simulated channel applies gain and seeded white Gaussian
-noise at a given SNR so receiver behavior can be studied reproducibly.
+cell) -> the glyphs' rows of the registry's pixel matrix -> framed bits ->
+waveform. Receive walks the same path backwards, voting across repeated
+copies, matching each recovered payload to the nearest canonical glyph,
+and re-parsing glyphs into symbols in one linear pass. A simulated
+channel applies gain and seeded white Gaussian noise at a given SNR so
+receiver behavior can be studied reproducibly.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framing import BitFrame, LengthMismatchError, frame_message, majority_vote, read_frame
-from .glyphs import DEFAULT_DIMS, Glyph, bitmap_of, glyph_sequence, registry_for
+from .glyphs import DEFAULT_DIMS, Glyph, glyph_pixels, glyph_sequence
 from .modem import ModemConfig, Waveform, demodulate, modulate
 from .notation import MAXWELL, SPACETIME, Message, SymbolKind, SymbolSpec, parse_dsl, print_dsl
-from .raster import serialize_glyph
 
 
 class AmbiguousGlyphError(ValueError):
@@ -101,14 +101,12 @@ def recognize_glyphs(
     AmbiguousGlyphError for each row with a tie for nearest, rather than
     a guess.
     """
-    table = registry_for(dims)
+    glyphs, pixels = glyph_pixels(dims)
     width, height = dims
     if payloads.shape[1] != width * height:
         raise LengthMismatchError(
             f"payload has {payloads.shape[1]} bits, grid wants {width * height}"
         )
-    glyphs = list(table)
-    pixels = np.array([bm.pixels for bm in table.values()], dtype=np.uint8)
     dist = (payloads[:, None, :] != pixels).sum(axis=2)
     order = np.argsort(dist, axis=1, kind="stable")[:, :2]
     best, second = np.take_along_axis(dist, order, axis=1).T.tolist()
@@ -229,9 +227,12 @@ def message_glyphs(msg: Message) -> list[Glyph]:
 def message_frame(
     msg: Message, repetition: int = 1, dims: tuple[int, int] = DEFAULT_DIMS
 ) -> BitFrame:
-    glyphs = message_glyphs(msg)
-    bits_of = {g: serialize_glyph(bitmap_of(g, dims)) for g in dict.fromkeys(glyphs)}
-    return frame_message([bits_of[g] for g in glyphs], repetition, dims)
+    """Frame a message's glyphs, gathered as rows of the registry's pixel matrix."""
+    glyphs, pixels = glyph_pixels(dims)
+    row_of = {g: i for i, g in enumerate(glyphs)}
+    rows = [row_of[g] for g in message_glyphs(msg)]
+    width, height = dims
+    return frame_message(np.take(pixels, rows, axis=0).reshape(-1, height, width), repetition, dims)
 
 
 def transmit(

@@ -75,6 +75,28 @@ class TestFrameMessage:
         with pytest.raises(DimensionMismatchError):
             frame_message([glyph_bits(Glyph.BLANK)], 1, (3, 7))
 
+    def test_dimension_mismatch_names_the_first_glyph_off_the_grid(self):
+        from glyphwave.raster import GlyphBits
+
+        narrow = GlyphBits(((0, 0, 0),) * 7)
+        want = "^glyph bits are 3x7, frame wants 5x7$"
+        for glyphs in ([narrow], [glyph_bits(Glyph.BLANK), narrow, glyph_bits(Glyph.BLANK)]):
+            with pytest.raises(DimensionMismatchError, match=want):
+                frame_message(glyphs, 1, (5, 7))
+        with pytest.raises(DimensionMismatchError, match=want):
+            frame_message(np.zeros((2, 7, 3), dtype=np.uint8), 1, (5, 7))
+
+    def test_pixel_array_frames_like_glyph_bits(self, rng):
+        bits = [random_glyph_bits(rng) for _ in range(4)]
+        pixels = np.array([gb.rows for gb in bits], dtype=np.uint8)
+        for rep in (1, 2, 3):
+            assert frame_message(pixels, rep, (5, 7)) == frame_message(bits, rep, (5, 7))
+
+    def test_nothing_to_frame(self):
+        for empty in ([], np.zeros((0, 7, 5), dtype=np.uint8)):
+            with pytest.raises(ValueError, match="^nothing to frame$"):
+                frame_message(empty, 1, (5, 7))
+
     def test_non_prime_dims(self):
         from glyphwave.raster import GlyphBits
 

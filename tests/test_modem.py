@@ -88,6 +88,47 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalidError, match="^amplitudes must be finite$"):
             ModemConfig(scheme="ask", **amps)
 
+    @pytest.mark.parametrize(
+        "name, fields",
+        [
+            # ask has no whole-cycle rule, so only the sample counts are wrong
+            (
+                "bit_duration",
+                dict(
+                    scheme="ask",
+                    bit_duration=96.5,
+                    pause_row=193,
+                    pause_glyph=579,
+                    pause_message=1351,
+                ),
+            ),
+            ("bit_duration", dict(bit_duration=math.inf)),
+            ("sample_rate", dict(sample_rate=48000.0)),
+            ("pause_glyph", dict(pause_glyph=1440.0)),
+            ("pause_message", dict(pause_message="3360")),
+        ],
+        ids=["bit_duration-96.5", "bit_duration-inf", "sample_rate", "pause_glyph", "str"],
+    )
+    def test_sample_counts_must_be_integers(self, name, fields):
+        with pytest.raises(ConfigInvalidError, match=f"^{name} must be an integer, got "):
+            ModemConfig(**fields)
+
+    def test_numpy_integer_sample_counts_pass_as_ints(self):
+        counts = dict(
+            sample_rate=np.int64(48000),
+            bit_duration=np.int32(96),
+            pause_row=np.uint16(96),
+            pause_glyph=np.int64(288),
+            pause_message=np.int16(672),
+        )
+        cfg = fast_config("psk", **counts)
+        assert cfg == fast_config("psk")
+        assert all(type(getattr(cfg, name)) is int for name in counts)
+        assert np.array_equal(
+            transmit("em", cfg, repetition=1).samples,
+            transmit("em", fast_config("psk"), repetition=1).samples,
+        )
+
 
 def one_glyph_frame(bits=(0, 1) * 17 + (1,)):
     rows = tuple(tuple(bits[r * 5 : (r + 1) * 5]) for r in range(7))
