@@ -6,6 +6,10 @@ still longer message pause between whole repeated copies. Prime grid
 sides mean the receiver can rebuild the rectangle from run lengths alone,
 and repetition plus per-bit majority voting buys error tolerance without
 any code overhead in the payload itself.
+
+A BitFrame built directly, or parsed by frame_from_text, checks its arrays.
+frame_message checks only the caller's pixels (0 or 1), since the runs,
+lengths and pause kinds it derives from them are valid by construction.
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ class BitFrame:
     (intp), and pause_kinds the kind of the pause after each run but the
     last, as an index into tuple(PauseKind) (int8). Runs and pauses
     alternate by construction; a frame with no runs is empty.
+
+    Direct construction checks its arrays and stores read-only copies of
+    the field dtypes. The package's own builders, frame_message and
+    modem.demodulate, use _trusted instead: their arrays are valid and of
+    the field dtypes by construction, and nothing else holds them.
     """
 
     bits: np.ndarray
@@ -71,12 +80,18 @@ class BitFrame:
             raise ValueError("run bits must be 0 or 1")
         if ((kinds < 0) | (kinds >= len(_KINDS))).any():
             raise ValueError(f"pause kinds must index {len(_KINDS)} kinds")
-        for name, a, dtype in (
-            ("bits", bits, np.uint8),
-            ("run_lengths", lengths, np.intp),
-            ("pause_kinds", kinds, np.int8),
-        ):
-            a = a.astype(dtype)
+        self._store(bits.astype(np.uint8), lengths.astype(np.intp), kinds.astype(np.int8))
+
+    @classmethod
+    def _trusted(cls, bits, run_lengths, pause_kinds) -> BitFrame:
+        """The frame of valid arrays of the field dtypes, unchecked."""
+        frame = object.__new__(cls)
+        frame._store(bits, run_lengths, pause_kinds)
+        return frame
+
+    def _store(self, *arrays: np.ndarray) -> None:
+        """Keep the arrays, made read-only, as the fields in declaration order."""
+        for name, a in zip(("bits", "run_lengths", "pause_kinds"), arrays):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -132,6 +147,9 @@ def frame_message(
     sequence of serialized glyphs. Each glyph becomes height runs of width
     bits joined by row pauses; glyphs are joined by glyph pauses and the
     whole payload is repeated with message pauses between copies.
+
+    Pixels other than 0 or 1 raise ValueError; they are checked once,
+    before tiling, and the frame built from them is not checked again.
     """
     width, height = dims
     if repetition < 1:
@@ -155,15 +173,19 @@ def frame_message(
     if got is not None:
         raise DimensionMismatchError(f"glyph bits are {got}, frame wants {width}x{height}")
 
+    if not ((pixels == 0) | (pixels == 1)).all():
+        raise ValueError("run bits must be 0 or 1")
+
     per_copy = len(pixels) * height
     # Row pauses inside a glyph, a glyph pause after its last row, and the
     # last glyph pause of a copy turned into the message pause.
     kinds = np.full(per_copy, _ROW, dtype=np.int8)
     kinds[height - 1 :: height] = _GLYPH
     kinds[-1] = _MESSAGE
-    return BitFrame(
-        np.tile(pixels.reshape(-1), repetition),
-        np.full(per_copy * repetition, width),
+    # np.tile copies, so the frame shares no memory with the caller's pixels.
+    return BitFrame._trusted(
+        np.tile(pixels.reshape(-1).astype(np.uint8, copy=False), repetition),
+        np.full(per_copy * repetition, width, dtype=np.intp),
         np.tile(kinds, repetition)[:-1],
     )
 

@@ -38,8 +38,12 @@ class Glyph(Enum):
     BLANK = "blank"
 
 
-class UnsupportedDimensionsError(LookupError):
-    """No glyph registry installed for the requested grid dimensions."""
+class UnsupportedDimensionsError(LookupError, ValueError):
+    """No glyph registry installed for the requested grid dimensions.
+
+    Also a ValueError: a received frame on a prime grid with no registry
+    is bad input, and the receiver's every refusal is a ValueError.
+    """
 
 
 def is_prime(n: int) -> bool:

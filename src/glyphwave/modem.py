@@ -22,6 +22,13 @@ Demodulation assumes the transmit configuration is shared (so phase-shift
 keying uses a coherent reference and keeps its documented global sign
 ambiguity) and that pauses are no shorter than one bit duration, which
 the configuration enforces.
+
+Input is checked where it enters. ModemConfig refuses non-finite tones
+and amplitudes, and a Waveform built from a caller's samples refuses
+non-finite ones. What this module builds itself is not checked again:
+modulate's samples are sines and zeros and read_wav's are int16 PCM over
+full scale, all finite, and demodulate's frame holds one decided bit per
+slot, at least one bit per run and a configured kind per pause.
 """
 
 from __future__ import annotations
@@ -144,7 +151,13 @@ class ModemConfig:
 
 @dataclass
 class Waveform:
-    """Sampled real signal; samples are float64, finite."""
+    """Sampled real signal; samples are float64, 1-D, finite.
+
+    Direct construction flattens the samples to float64 and refuses any
+    that are not finite: a caller's samples, or a product that can
+    overflow, as in pipeline.apply_channel. modulate and read_wav use
+    _trusted and skip the scan: their samples are finite by construction.
+    """
 
     samples: np.ndarray
     sample_rate: int
@@ -153,6 +166,13 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform amplitudes must be finite")
+
+    @classmethod
+    def _trusted(cls, samples: np.ndarray, sample_rate: int) -> Waveform:
+        """The waveform of 1-D float64 samples known to be finite, unchecked."""
+        wave = object.__new__(cls)
+        wave.samples, wave.sample_rate = samples, sample_rate
+        return wave
 
     @property
     def duration_s(self) -> float:
@@ -193,7 +213,8 @@ def modulate(frame: BitFrame, cfg: ModemConfig) -> Waveform:
     on = np.repeat(np.arange(len(spans)) % 2 == 0, spans)
     rows = np.full(len(on), 2 * k)
     rows[on] = (frame.bits.astype(np.intp)[:, None] * k + np.arange(k)).reshape(-1)
-    return Waveform(np.take(chunks, rows, axis=0).reshape(-1), cfg.sample_rate)
+    # Finite samples: sines scaled by the config's finite amplitudes, and zeros.
+    return Waveform._trusted(np.take(chunks, rows, axis=0).reshape(-1), cfg.sample_rate)
 
 
 def _rows(samples: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
@@ -395,7 +416,8 @@ def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
     else:
         bits = slots @ np.sin(2 * np.pi * cfg.carrier_hz * t) < 0
 
-    return BitFrame(bits, nbits, kinds)
+    # Every run has nbits >= 1 decided bits, and every gap a kind (no fit raised above).
+    return BitFrame._trusted(bits.view(np.uint8), nbits, kinds.astype(np.int8))
 
 
 # --- WAV and configuration file round trips -------------------------------
@@ -433,7 +455,7 @@ def read_wav(path: str | Path) -> Waveform:
         raise ValueError(f"cannot read {path} as a WAV file: {detail}") from err
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     samples /= FULL_SCALE
-    return Waveform(samples, rate)
+    return Waveform._trusted(samples, rate)  # int16 over full scale is finite
 
 
 # The config file's keys and value types, in declaration order.

@@ -10,7 +10,7 @@ import glyphwave
 
 from conftest import fast_config, middle_run_bit_flipped
 from glyphwave.cli import main
-from glyphwave.framing import frame_to_text
+from glyphwave.framing import frame_message, frame_to_text
 from glyphwave.modem import ModemConfig, Waveform, modulate, read_wav, save_config, write_wav
 from glyphwave.notation import parse_dsl
 from glyphwave.pipeline import message_frame, transmit
@@ -88,6 +88,15 @@ def test_receive_failure_exit_code(tmp_path, capsys):
     wav = tmp_path / "silence.wav"
     write_wav(wav, Waveform(np.zeros(48000), 48000))
     assert main(["receive", str(wav)]) == 1
+
+
+def test_receive_of_a_grid_with_no_glyph_registry(tmp_path, capsys):
+    wav = tmp_path / "grid13x7.wav"
+    frame = frame_message(np.zeros((2, 7, 13), np.uint8), 1, (13, 7))
+    write_wav(wav, modulate(frame, ModemConfig()))
+    assert main(["receive", str(wav), "--scheme", "fsk"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("decode failed:") and "13x7" in err[0]
 
 
 def test_receive_rejects_other_sample_rate(tmp_path, capsys):

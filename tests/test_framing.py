@@ -92,6 +92,10 @@ class TestFrameMessage:
         for rep in (1, 2, 3):
             assert frame_message(pixels, rep, (5, 7)) == frame_message(bits, rep, (5, 7))
 
+    def test_pixels_must_be_bits(self):
+        with pytest.raises(ValueError, match="run bits must be 0 or 1"):
+            frame_message(np.full((1, 7, 5), 2, np.uint8), 1, (5, 7))
+
     def test_nothing_to_frame(self):
         for empty in ([], np.zeros((0, 7, 5), dtype=np.uint8)):
             with pytest.raises(ValueError, match="^nothing to frame$"):

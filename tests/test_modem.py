@@ -587,6 +587,12 @@ class TestDemodulate:
             demodulate(wave, cfg)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_waveform_refuses_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="^waveform amplitudes must be finite$"):
+        Waveform(np.array([0.0, 0.5, bad, -0.5]), 48000)
+
+
 class TestWavFiles:
     def test_round_trip_within_quantization(self, tmp_path, rng):
         cfg = fast_config("fsk")

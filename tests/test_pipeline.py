@@ -191,6 +191,13 @@ class TestChannel:
         ch = ChannelConfig(snr_db=-40.0, gain=1e-6)
         assert (ch.snr_db, ch.gain) == (-40.0, 1e-6)
 
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    def test_overflowing_gain_is_refused(self, snr_db):
+        wave = Waveform(np.array([2.0, -2.0, 0.0, 2.0]), 48000)
+        # numpy warns of the overflow; the refusal is what is checked here
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+            apply_channel(wave, ChannelConfig(snr_db=snr_db, gain=1e308, seed=1))
+
 
 class TestRecognize:
     def test_exact_match_every_glyph(self):
@@ -715,3 +722,9 @@ class TestTransmitReceive:
             assert str(exc.value) == "unrecoverable glyphs at positions " + ", ".join(
                 str(gi) for gi in positions
             )
+
+    def test_grid_with_no_glyph_registry_is_a_value_error(self):
+        cfg = fast_config("fsk")
+        frame = frame_message(np.zeros((2, 7, 13), np.uint8), 2, (13, 7))
+        with pytest.raises(ValueError, match="13x7"):
+            receive(modulate(frame, cfg), cfg)

@@ -5,6 +5,10 @@ pixel matrix and modulates with one np.take of chunk rows. The reference
 serializes each glyph's bitmap to bit rows, frames the GlyphBits sequence,
 and gathers the chunk rows by fancy indexing. Frames and samples must be
 bitwise equal, the sign of zero included.
+
+Frames and waveforms the package builds itself skip the checks of the
+BitFrame and Waveform constructors; they must equal what those checks
+would have made of them.
 """
 
 import math
@@ -14,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import fast_config
-from glyphwave.framing import frame_message, frame_to_text
+from glyphwave.framing import BitFrame, frame_message, frame_to_text
 from glyphwave.glyphs import (
     Glyph,
     UnsupportedDimensionsError,
@@ -26,7 +30,7 @@ from glyphwave.glyphs import (
     registry_for,
     unregister_table,
 )
-from glyphwave.modem import ModemConfig, Waveform, _bit_tables, modulate
+from glyphwave.modem import ModemConfig, Waveform, _bit_tables, demodulate, modulate
 from glyphwave.notation import MAXWELL, SPACETIME, Message, affinity, canonical_messages, tensor
 from glyphwave.pipeline import message_frame, message_glyphs, recognize_glyphs
 from glyphwave.raster import serialize_glyph
@@ -147,6 +151,38 @@ class TestReferencePath:
                 assert_same_samples(modulate(frame, cfg), reference_modulate(frame, cfg))
         finally:
             unregister_table((3, 3))
+
+
+def assert_as_if_checked(frame):
+    """The frame equals its arrays passed through BitFrame's checks: same
+    values, dtypes and shapes, and every array read-only."""
+    checked = BitFrame(frame.bits, frame.run_lengths, frame.pause_kinds)
+    assert frame == checked
+    for name in ("bits", "run_lengths", "pause_kinds"):
+        got, want = getattr(frame, name), getattr(checked, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert not got.flags.writeable, name
+
+
+class TestBuiltUnchecked:
+    def test_frames_and_waveforms_equal_their_checked_construction(self):
+        rng = np.random.default_rng(1616)
+        pixels = glyph_pixels((5, 7))[1]
+        for i in range(12):
+            msg = random_message(rng, 3)
+            for rep in (1, 2, 3):
+                frame = message_frame(msg, rep)
+                assert_as_if_checked(frame)
+                assert not np.shares_memory(frame.bits, pixels)
+                for cfg in CONFIGS:
+                    wave = modulate(frame, cfg)
+                    samples = wave.samples
+                    assert samples.dtype == np.float64 and samples.ndim == 1
+                    assert np.isfinite(samples).all()
+                    assert_same_samples(wave, Waveform(samples, cfg.sample_rate))
+                    back = demodulate(wave, cfg)
+                    assert_as_if_checked(back)
+                    assert back == frame, (i, rep, cfg)
 
 
 class TestRegistryChanges:
