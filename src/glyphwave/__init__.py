@@ -3,13 +3,10 @@
 from .framing import (
     BitFrame,
     GridInfo,
-    Pause,
     PauseKind,
-    Run,
     frame_from_text,
     frame_message,
     frame_to_text,
-    infer_grid,
     majority_vote,
 )
 from .glyphs import DEFAULT_DIMS, Glyph, GlyphBitmap, bitmap_of, glyph_sequence, min_pairwise_hamming
@@ -26,6 +23,6 @@ from .pipeline import (
     recognize_glyph,
     transmit,
 )
-from .raster import GlyphBits, Image, compose_strip, deserialize_glyph, export_pbm, serialize_glyph
+from .raster import Image, compose_strip, export_pbm
 
 __version__ = "0.1.0"

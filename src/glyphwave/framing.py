@@ -7,13 +7,16 @@ sides mean the receiver can rebuild the rectangle from run lengths alone,
 and repetition plus per-bit majority voting buys error tolerance without
 any code overhead in the payload itself.
 
-A BitFrame built directly, or parsed by frame_from_text, checks its arrays.
+A frame is held only as three arrays (see BitFrame), and frame_message
+takes glyph pixels only as one (n_glyphs, height, width) array. A BitFrame
+built directly, or parsed by frame_from_text, checks its arrays.
 frame_message checks only the caller's pixels (0 or 1), since the runs,
 lengths and pause kinds it derives from them are valid by construction.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -22,23 +25,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .glyphs import is_prime
-from .raster import GlyphBits
 
 
 class PauseKind(Enum):
     ROW = "row"
     GLYPH = "glyph"
     MESSAGE = "message"
-
-
-@dataclass(frozen=True)
-class Run:
-    bits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Pause:
-    kind: PauseKind
 
 
 _KINDS = tuple(PauseKind)
@@ -100,16 +92,6 @@ class BitFrame:
             return NotImplemented
         return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
-    @property
-    def elements(self) -> tuple[Run | Pause, ...]:
-        """The frame as Run and Pause objects in wire order (a derived view)."""
-        out: list[Run | Pause] = []
-        for i, run in enumerate(np.split(self.bits, np.cumsum(self.run_lengths))[:-1]):
-            if i:
-                out.append(Pause(_KINDS[self.pause_kinds[i - 1]]))
-            out.append(Run(tuple(run.tolist())))
-        return tuple(out)
-
 
 class DimensionMismatchError(ValueError):
     """Glyph bits do not match the declared grid dimensions."""
@@ -138,41 +120,32 @@ class GridInfo(NamedTuple):
     repetition: int
 
 
-def frame_message(
-    glyph_bits: np.ndarray | Sequence[GlyphBits], repetition: int, dims: tuple[int, int]
-) -> BitFrame:
+def frame_message(glyph_bits: np.ndarray, repetition: int, dims: tuple[int, int]) -> BitFrame:
     """Frame glyph pixels for transmission.
 
-    glyph_bits is a (n_glyphs, height, width) array of 0/1 pixels, or a
-    sequence of serialized glyphs. Each glyph becomes height runs of width
-    bits joined by row pauses; glyphs are joined by glyph pauses and the
-    whole payload is repeated with message pauses between copies.
+    glyph_bits is a (n_glyphs, height, width) array of 0/1 pixels, or
+    anything np.asarray makes one of. Each glyph becomes height runs of
+    width bits joined by row pauses; glyphs are joined by glyph pauses and
+    the whole payload is repeated with message pauses between copies.
 
     Pixels other than 0 or 1 raise ValueError; they are checked once,
     before tiling, and the frame built from them is not checked again.
     """
     width, height = dims
+    try:
+        repetition = operator.index(repetition)
+    except TypeError:
+        raise ValueError(f"repetition must be an integer, got {repetition!r}") from None
     if repetition < 1:
         raise ValueError("repetition must be at least 1")
-    if not len(glyph_bits):
+    pixels = np.asarray(glyph_bits)
+    if not pixels.size:
         raise ValueError("nothing to frame")
     if not (is_prime(width) and is_prime(height)):
         raise NonPrimeDimensionsError(f"{width}x{height} is not a prime pair")
-    pixels, got = glyph_bits, None
-    if not isinstance(pixels, np.ndarray):
-        try:
-            pixels = np.array([gb.rows for gb in glyph_bits], dtype=np.uint8)
-        except ValueError:
-            # Glyphs of unequal sizes do not stack: name the first off the grid.
-            sizes = (f"{gb.width}x{gb.height}" for gb in glyph_bits)
-            got = next((size for size in sizes if size != f"{width}x{height}"), None)
-            if got is None:
-                raise
-    if got is None and pixels.shape[1:] != (height, width):
+    if pixels.shape[1:] != (height, width):
         got = "x".join(map(str, pixels.shape[:0:-1]))
-    if got is not None:
         raise DimensionMismatchError(f"glyph bits are {got}, frame wants {width}x{height}")
-
     if not ((pixels == 0) | (pixels == 1)).all():
         raise ValueError("run bits must be 0 or 1")
 
@@ -227,11 +200,6 @@ def read_frame(frame: BitFrame) -> tuple[GridInfo, np.ndarray]:
     return GridInfo(width, height, n_glyphs, len(counts)), frame.bits.reshape(len(counts), -1)
 
 
-def infer_grid(frame: BitFrame) -> GridInfo:
-    """Recover (width, height, n_glyphs, repetition) from frame structure."""
-    return read_frame(frame)[0]
-
-
 def prime_pair_factorization(n: int) -> tuple[int, int]:
     """The unique ordered prime pair (p, q), p <= q, with p*q = n."""
     factors = []
@@ -249,15 +217,17 @@ def prime_pair_factorization(n: int) -> tuple[int, int]:
 
 
 class MajorityResult(NamedTuple):
-    payload: tuple[int, ...]
-    tie_positions: tuple[int, ...]
+    payload: np.ndarray
+    tie_positions: np.ndarray
 
 
-def majority_vote(copies: Sequence[Sequence[int]]) -> MajorityResult:
+def majority_vote(copies: Sequence[Sequence[int]] | np.ndarray) -> MajorityResult:
     """Per-bit majority over equal-length copies.
 
-    An even split falls back to the first copy's bit and the position is
-    flagged, so the result is deterministic and the tie is diagnosable.
+    The voted payload is a uint8 array and the tie positions an intp
+    array. An even split falls back to the first copy's bit and the
+    position is flagged, so the result is deterministic and the tie is
+    diagnosable.
     """
     if len(copies) == 0:
         raise ValueError("majority vote needs at least one copy")
@@ -267,8 +237,8 @@ def majority_vote(copies: Sequence[Sequence[int]]) -> MajorityResult:
     stack = np.asarray(copies, dtype=np.int64)
     twice_ones = 2 * stack.sum(axis=0)
     tie = twice_ones == len(stack)
-    voted = np.where(tie, stack[0], twice_ones > len(stack))
-    return MajorityResult(tuple(voted.tolist()), tuple(np.flatnonzero(tie).tolist()))
+    voted = np.where(tie, stack[0], twice_ones > len(stack)).astype(np.uint8)
+    return MajorityResult(voted, np.flatnonzero(tie))
 
 
 def frame_to_text(frame: BitFrame) -> str:

@@ -154,9 +154,9 @@ class Waveform:
     """Sampled real signal; samples are float64, 1-D, finite.
 
     Direct construction flattens the samples to float64 and refuses any
-    that are not finite: a caller's samples, or a product that can
-    overflow, as in pipeline.apply_channel. modulate and read_wav use
-    _trusted and skip the scan: their samples are finite by construction.
+    that are not finite. modulate and read_wav use _trusted and skip the
+    scan, their samples being finite by construction; so does
+    pipeline.apply_channel, after its own check of the output.
     """
 
     samples: np.ndarray

@@ -70,25 +70,34 @@ class ChannelConfig:
 
 
 def apply_channel(wave: Waveform, ch: ChannelConfig) -> Waveform:
-    """Scale by gain and add seeded white Gaussian noise at the set SNR."""
-    out = ch.gain * wave.samples
-    if ch.snr_db is None:
-        return Waveform(out, wave.sample_rate)
-    # Pauses are exact zeros before noise; dilate the non-zero mask 8 samples
-    # each way so in-carrier zero crossings do not bias the reference RMS:
-    # or-ing in the mask shifted by +k, then by -k, adds the offsets ±k, and
-    # ±1, ±2, ±4, ±1 reach every offset up to 8. Past the ends counts as zero.
-    active = out != 0
-    for k in (1, 2, 4, 1):
-        active[k:] |= active[:-k]
-        active[:-k] |= active[k:]
-    if not np.any(active):
-        return Waveform(out, wave.sample_rate)
-    signal_rms = float(np.sqrt(np.mean(out[active] ** 2)))
-    sigma = signal_rms * 10 ** (-ch.snr_db / 20)
-    noisy = np.random.default_rng(ch.seed).normal(0.0, sigma, len(out))
-    noisy += out
-    return Waveform(noisy, wave.sample_rate)
+    """Scale by gain and add seeded white Gaussian noise at the set SNR.
+
+    Output that overflows is refused with a ValueError naming the gain, and
+    the SNR when noise is added; numpy's overflow warnings are silenced
+    because this one check on the output covers them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = float(ch.gain) * wave.samples
+        if ch.snr_db is not None:
+            # Pauses are exact zeros before noise; dilate the non-zero mask 8
+            # samples each way so in-carrier zero crossings do not bias the
+            # reference RMS: or-ing in the mask shifted by +k, then by -k, adds
+            # the offsets ±k, and ±1, ±2, ±4, ±1 reach every offset up to 8.
+            # Past the ends counts as zero.
+            active = out != 0
+            for k in (1, 2, 4, 1):
+                active[k:] |= active[:-k]
+                active[:-k] |= active[k:]
+            if np.any(active):
+                signal_rms = float(np.sqrt(np.mean(out[active] ** 2)))
+                sigma = signal_rms * 10 ** (-ch.snr_db / 20)
+                noisy = np.random.default_rng(ch.seed).normal(0.0, sigma, len(out))
+                noisy += out
+                out = noisy
+    if not np.all(np.isfinite(out)):
+        at = "" if ch.snr_db is None else f" at snr_db {ch.snr_db:g}"
+        raise ValueError(f"gain {ch.gain:g}{at} overflows the waveform: output must be finite")
+    return Waveform._trusted(out, wave.sample_rate)
 
 
 def recognize_glyphs(
@@ -273,10 +282,9 @@ def receive(wave: Waveform, cfg: ModemConfig | None = None) -> DecodeReport:
     cfg = cfg or ModemConfig()
     info, payloads = read_frame(demodulate(wave, cfg))
     vote = majority_vote(payloads)
-    voted = np.array(vote.payload)
-    corrected = int((payloads != voted).any(axis=0).sum())
+    corrected = int((payloads != vote.payload).any(axis=0).sum())
     dims = (info.width, info.height)
-    per_glyph, failures = recognize_glyphs(voted.reshape(info.n_glyphs, -1), dims)
+    per_glyph, failures = recognize_glyphs(vote.payload.reshape(info.n_glyphs, -1), dims)
     if failures:
         raise UnrecoverableMessageError(failures)
 

@@ -1,38 +1,20 @@
-"""Glyph bitmaps to bit rows, strip images, and PBM export.
+"""Glyph strip images and PBM export.
 
-Serialization is row-major, top row first, left to right within a row,
-1 = black. Strip images juxtapose glyph bitmaps horizontally with a
-configurable all-white gap; the gap is a display nicety only and never
-enters the transmitted bit stream.
+Strip images juxtapose glyph bitmaps horizontally with a configurable
+all-white gap, row-major and 1 = black in the export; the gap is a display
+nicety only and never enters the transmitted bit stream, which takes its
+pixels from the glyph registry's pixel matrix (glyphs.glyph_pixels).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .glyphs import Glyph, GlyphBitmap
+from .glyphs import GlyphBitmap
 
 
 class MixedDimensionsError(ValueError):
     """Glyphs of differing grid sizes cannot share one strip."""
-
-
-@dataclass(frozen=True)
-class GlyphBits:
-    """Bits of one glyph, split by row."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def height(self) -> int:
-        return len(self.rows)
-
-    def flatten(self) -> tuple[int, ...]:
-        return tuple(b for row in self.rows for b in row)
 
 
 @dataclass(frozen=True)
@@ -51,24 +33,6 @@ class Image:
 
     def row(self, y: int) -> tuple[bool, ...]:
         return self.pixels[y * self.width : (y + 1) * self.width]
-
-
-def serialize_glyph(bm: GlyphBitmap, glyph_id: Glyph | None = None) -> GlyphBits:
-    """Transcribe a bitmap into bit rows, top to bottom.
-
-    glyph_id is accepted for existing callers and ignored: the bits depend
-    on the bitmap alone.
-    """
-    rows = tuple(tuple(int(p) for p in bm.row(y)) for y in range(bm.height))
-    return GlyphBits(rows)
-
-
-def deserialize_glyph(bits: tuple[int, ...], dims: tuple[int, int]) -> GlyphBitmap:
-    """Rebuild the bitmap from a flat payload; inverse of serialize_glyph."""
-    width, height = dims
-    if len(bits) != width * height:
-        raise ValueError(f"payload has {len(bits)} bits, expected {width * height}")
-    return GlyphBitmap(width, height, tuple(bool(b) for b in bits))
 
 
 def compose_strip(bitmaps: list[GlyphBitmap], gap: int = 1) -> Image:

@@ -1,9 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from glyphwave.framing import BitFrame
+from glyphwave.framing import BitFrame, PauseKind, frame_to_text
 from glyphwave.modem import ModemConfig
-from glyphwave.raster import GlyphBits
 
 
 def fast_config(scheme: str = "fsk", **overrides) -> ModemConfig:
@@ -22,10 +23,23 @@ def fast_config(scheme: str = "fsk", **overrides) -> ModemConfig:
     return ModemConfig(**params)
 
 
-def random_glyph_bits(rng: np.random.Generator, dims=(5, 7)) -> GlyphBits:
+def random_glyph_bits(rng: np.random.Generator, dims=(5, 7)) -> np.ndarray:
+    """A (height, width) uint8 array of random pixels, drawn row by row."""
     width, height = dims
-    rows = tuple(tuple(int(b) for b in rng.integers(0, 2, width)) for _ in range(height))
-    return GlyphBits(rows)
+    return np.array([rng.integers(0, 2, width) for _ in range(height)], dtype=np.uint8)
+
+
+_PAUSES = {"/" * (i + 1): kind for i, kind in enumerate(PauseKind)}
+
+
+def frame_elements(frame: BitFrame) -> list:
+    """The frame in wire order, parsed from its text dump: each run as a
+    tuple of bits, each pause as its PauseKind. References that walk a
+    frame element by element take their runs and pauses from here."""
+    return [
+        _PAUSES[token] if token[0] == "/" else tuple(map(int, token))
+        for token in re.findall(r"[01]+|/+", frame_to_text(frame))
+    ]
 
 
 def middle_run_bit_flipped(frame: BitFrame, offset: int) -> BitFrame:

@@ -11,14 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import fast_config, random_glyph_bits
+from conftest import fast_config, frame_elements, random_glyph_bits
 from glyphwave.framing import (
     PauseKind,
-    Run,
     frame_message,
-    infer_grid,
     majority_vote,
     prime_pair_factorization,
+    read_frame,
 )
 from glyphwave.glyphs import (
     DEFAULT_DIMS,
@@ -47,7 +46,7 @@ from glyphwave.pipeline import (
     recognize_glyph,
     transmit,
 )
-from glyphwave.raster import compose_strip, export_pbm, serialize_glyph
+from glyphwave.raster import compose_strip, export_pbm
 from glyphwave.framing import frame_to_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,11 +69,11 @@ def criterion(number: int, budget_s: float, label: str):
 def test_criterion_1_grid_constants():
     with criterion(1, 1.0, "grid constants: 35 bits, 5x7, unique prime pair"):
         for g in Glyph:
-            bits = serialize_glyph(bitmap_of(g)).flatten()
-            assert len(bits) == 35
+            bits = np.asarray(bitmap_of(g).pixels, dtype=np.uint8)
+            assert bits.shape == (35,)
         assert prime_pair_factorization(35) == (5, 7)
         for msg in canonical_messages().values():
-            info = infer_grid(message_frame(msg, repetition=1))
+            info, _ = read_frame(message_frame(msg, repetition=1))
             assert (info.width, info.height) == (5, 7)
 
 
@@ -145,11 +144,11 @@ def test_criterion_4_glyph_robustness():
         assert min_pairwise_hamming(DEFAULT_DIMS) == min(dists)
         cases = 0
         for g in Glyph:
-            clean = serialize_glyph(table[g]).flatten()
+            clean = np.asarray(table[g].pixels, dtype=np.uint8)
             for pos in range(35):
-                flipped = list(clean)
+                flipped = clean.copy()
                 flipped[pos] ^= 1
-                found, dist, runner = recognize_glyph(tuple(flipped))
+                found, dist, runner = recognize_glyph(flipped)
                 assert found is g
                 assert dist <= 1 <= runner
                 cases += 1
@@ -161,12 +160,12 @@ def test_criterion_5_repetition_correction():
         rng = np.random.default_rng(271828)
         recovered = 0
         for _ in range(1000):
-            clean = tuple(int(b) for b in rng.integers(0, 2, 35))
-            copies = [list(clean) for _ in range(3)]
-            copies[int(rng.integers(0, 3))][int(rng.integers(0, 35))] ^= 1
-            result = majority_vote([tuple(c) for c in copies])
-            assert result.payload == clean
-            assert result.tie_positions == ()
+            clean = rng.integers(0, 2, 35).astype(np.uint8)
+            copies = np.tile(clean, (3, 1))
+            copies[int(rng.integers(0, 3)), int(rng.integers(0, 35))] ^= 1
+            result = majority_vote(copies)
+            assert np.array_equal(result.payload, clean)
+            assert result.tie_positions.size == 0
             recovered += 1
         assert recovered == 1000
 
@@ -224,9 +223,8 @@ def test_criterion_8_numerical_modem_checks():
         assert cross <= 1e-9
 
         ook = ModemConfig(scheme="ask", amp0=0.0)
-        frame = frame_message(
-            [serialize_glyph(bitmap_of(Glyph.BLANK), Glyph.BLANK)], 1, (5, 7)
-        )
+        blank = np.asarray(bitmap_of(Glyph.BLANK).pixels, dtype=np.uint8).reshape(1, 7, 5)
+        frame = frame_message(blank, 1, (5, 7))
         blank_wave = modulate(frame, ook)
         assert not blank_wave.samples.any()  # every zero bit is exact silence
 
@@ -237,12 +235,12 @@ def test_criterion_8_numerical_modem_checks():
             rep = int(rng.integers(1, 3))
             f = frame_message([random_glyph_bits(rng) for _ in range(n)], rep, (5, 7))
             expected = 0
-            for e in f.elements:
-                if isinstance(e, Run):
-                    expected += len(e.bits) * cfg_fast.bit_duration
-                elif e.kind is PauseKind.ROW:
+            for e in frame_elements(f):
+                if isinstance(e, tuple):
+                    expected += len(e) * cfg_fast.bit_duration
+                elif e is PauseKind.ROW:
                     expected += cfg_fast.pause_row
-                elif e.kind is PauseKind.GLYPH:
+                elif e is PauseKind.GLYPH:
                     expected += cfg_fast.pause_glyph
                 else:
                     expected += cfg_fast.pause_message

@@ -12,8 +12,10 @@ from conftest import fast_config, middle_run_bit_flipped
 from glyphwave.cli import main
 from glyphwave.framing import frame_message, frame_to_text
 from glyphwave.modem import ModemConfig, Waveform, modulate, read_wav, save_config, write_wav
-from glyphwave.notation import parse_dsl
+from glyphwave.notation import canonical_messages, parse_dsl, print_dsl
 from glyphwave.pipeline import message_frame, transmit
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_encode_writes_pbm(tmp_path, capsys):
@@ -22,6 +24,17 @@ def test_encode_writes_pbm(tmp_path, capsys):
     data = out.read_bytes()
     assert data.startswith(b"P1\n41 7\n")
     assert len(data.split(b"\n")) == 2 + 7 + 1  # header, dims, rows, trailing
+
+
+@pytest.mark.parametrize("name", sorted(canonical_messages()))
+def test_encode_and_frame_match_the_goldens(tmp_path, capsys, name):
+    dsl = print_dsl(canonical_messages()[name])
+    out = tmp_path / f"{name}.pbm"
+    assert main(["encode", dsl, "--gap", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.pbm").read_bytes()
+    capsys.readouterr()
+    assert main(["frame", dsl]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.frame.txt").read_text()
 
 
 def test_frame_dump_matches_library(capsys):

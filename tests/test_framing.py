@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fast_config, random_glyph_bits
+from conftest import fast_config, frame_elements, random_glyph_bits
 from glyphwave.framing import (
     BitFrame,
     DimensionMismatchError,
@@ -9,14 +9,11 @@ from glyphwave.framing import (
     InconsistentFrameError,
     LengthMismatchError,
     NonPrimeDimensionsError,
-    Pause,
     PauseKind,
     RepetitionMismatchError,
-    Run,
     frame_from_text,
     frame_message,
     frame_to_text,
-    infer_grid,
     majority_vote,
     prime_pair_factorization,
     read_frame,
@@ -24,24 +21,24 @@ from glyphwave.framing import (
 from glyphwave.glyphs import Glyph, bitmap_of, is_prime
 from glyphwave.modem import demodulate, modulate
 from glyphwave.notation import canonical_messages
-from glyphwave.pipeline import message_frame
-from glyphwave.raster import serialize_glyph
+from glyphwave.pipeline import message_frame, transmit
 
 
-def glyph_bits(g: Glyph):
-    return serialize_glyph(bitmap_of(g))
+def glyph_bits(g: Glyph) -> np.ndarray:
+    """The (7, 5) uint8 pixel array of a canonical glyph."""
+    return np.array(bitmap_of(g).pixels, dtype=np.uint8).reshape(7, 5)
 
 
 def walk_counts(frame: BitFrame):
     """Independent structural walk: run/bit/pause tallies."""
     runs = bits = row_p = glyph_p = msg_p = 0
-    for e in frame.elements:
-        if isinstance(e, Run):
+    for e in frame_elements(frame):
+        if isinstance(e, tuple):
             runs += 1
-            bits += len(e.bits)
-        elif e.kind is PauseKind.ROW:
+            bits += len(e)
+        elif e is PauseKind.ROW:
             row_p += 1
-        elif e.kind is PauseKind.GLYPH:
+        elif e is PauseKind.GLYPH:
             glyph_p += 1
         else:
             msg_p += 1
@@ -76,21 +73,23 @@ class TestFrameMessage:
             frame_message([glyph_bits(Glyph.BLANK)], 1, (3, 7))
 
     def test_dimension_mismatch_names_the_first_glyph_off_the_grid(self):
-        from glyphwave.raster import GlyphBits
+        cases = [
+            ((2, 7, 3), "glyph bits are 3x7, frame wants 5x7"),
+            ((7, 5), "glyph bits are 5, frame wants 5x7"),  # one glyph, not stacked
+            ((2, 5, 7), "glyph bits are 7x5, frame wants 5x7"),
+        ]
+        for shape, want in cases:
+            with pytest.raises(DimensionMismatchError) as exc:
+                frame_message(np.zeros(shape, dtype=np.uint8), 1, (5, 7))
+            assert str(exc.value) == want
 
-        narrow = GlyphBits(((0, 0, 0),) * 7)
-        want = "^glyph bits are 3x7, frame wants 5x7$"
-        for glyphs in ([narrow], [glyph_bits(Glyph.BLANK), narrow, glyph_bits(Glyph.BLANK)]):
-            with pytest.raises(DimensionMismatchError, match=want):
-                frame_message(glyphs, 1, (5, 7))
-        with pytest.raises(DimensionMismatchError, match=want):
-            frame_message(np.zeros((2, 7, 3), dtype=np.uint8), 1, (5, 7))
-
-    def test_pixel_array_frames_like_glyph_bits(self, rng):
-        bits = [random_glyph_bits(rng) for _ in range(4)]
-        pixels = np.array([gb.rows for gb in bits], dtype=np.uint8)
+    def test_nested_list_frames_like_its_array(self, rng):
+        pixels = np.array([random_glyph_bits(rng) for _ in range(4)])
+        assert pixels.dtype == np.uint8
         for rep in (1, 2, 3):
-            assert frame_message(pixels, rep, (5, 7)) == frame_message(bits, rep, (5, 7))
+            want = frame_message(pixels, rep, (5, 7))
+            assert frame_message(pixels.tolist(), rep, (5, 7)) == want
+            assert frame_message(list(pixels), rep, (5, 7)) == want
 
     def test_pixels_must_be_bits(self):
         with pytest.raises(ValueError, match="run bits must be 0 or 1"):
@@ -102,25 +101,32 @@ class TestFrameMessage:
                 frame_message(empty, 1, (5, 7))
 
     def test_non_prime_dims(self):
-        from glyphwave.raster import GlyphBits
-
-        square = GlyphBits(((0, 0, 0, 0),) * 4)
         with pytest.raises(NonPrimeDimensionsError):
-            frame_message([square], 1, (4, 4))
+            frame_message(np.zeros((1, 4, 4), dtype=np.uint8), 1, (4, 4))
 
     def test_bad_repetition(self):
         with pytest.raises(ValueError):
             frame_message([glyph_bits(Glyph.BLANK)], 0, (5, 7))
 
+    def test_non_integer_repetition(self):
+        blank = [glyph_bits(Glyph.BLANK)]
+        for repetition, shown in ((2.5, "2.5"), ("3", "'3'")):
+            want = f"^repetition must be an integer, got {shown}$"
+            with pytest.raises(ValueError, match=want):
+                frame_message(blank, repetition, (5, 7))
+            with pytest.raises(ValueError, match=want):
+                transmit("em", fast_config("fsk"), repetition)
+        assert frame_message(blank, np.int64(2), (5, 7)) == frame_message(blank, 2, (5, 7))
+
 
 class TestInferGrid:
     def test_single_glyph(self):
         frame = frame_message([glyph_bits(Glyph.ARROW_UP)], 1, (5, 7))
-        assert infer_grid(frame) == GridInfo(5, 7, 1, 1)
+        assert read_frame(frame)[0] == GridInfo(5, 7, 1, 1)
 
     def test_em_triplet_threefold(self):
         frame = message_frame(canonical_messages()["em"], repetition=3)
-        assert infer_grid(frame) == GridInfo(5, 7, 16, 3)
+        assert read_frame(frame)[0] == GridInfo(5, 7, 16, 3)
 
     def test_round_trip_random(self, rng):
         for _ in range(50):
@@ -128,7 +134,7 @@ class TestInferGrid:
             rep = int(rng.integers(1, 4))
             bits = [random_glyph_bits(rng) for _ in range(n)]
             frame = frame_message(bits, rep, (5, 7))
-            assert infer_grid(frame) == GridInfo(5, 7, n, rep)
+            assert read_frame(frame)[0] == GridInfo(5, 7, n, rep)
 
     def test_bit_conservation(self, rng):
         for _ in range(20):
@@ -141,11 +147,11 @@ class TestInferGrid:
 
     def test_composite_run_length_rejected(self):
         with pytest.raises(NonPrimeDimensionsError):
-            infer_grid(frame_from_text("0101/1010"))
+            read_frame(frame_from_text("0101/1010"))
 
     def test_mixed_run_lengths_rejected(self):
         with pytest.raises(InconsistentFrameError, match=r"mixed run lengths \[2, 3\]"):
-            infer_grid(frame_from_text("010/10"))
+            read_frame(frame_from_text("010/10"))
 
     def test_adjacent_runs_rejected(self):
         # Two runs with no pause between them: the pause array is short.
@@ -162,7 +168,7 @@ class TestInferGrid:
         bad = frame_to_text(frame_message([glyph_bits(Glyph.LPAREN)], 1, (5, 7)))
         for copies, counts in (((good, good, bad), "[2, 2, 1]"), ((bad, good, good), "[1, 2, 2]")):
             with pytest.raises(RepetitionMismatchError) as exc:
-                infer_grid(frame_from_text("///".join(copies)))
+                read_frame(frame_from_text("///".join(copies)))
             assert str(exc.value) == f"copies disagree on glyph count: {counts}"
 
 
@@ -170,8 +176,14 @@ class TestMajorityVote:
     def test_single_copy_identity(self):
         payload = (0, 1, 1, 0, 1)
         result = majority_vote([payload])
-        assert result.payload == payload
-        assert result.tie_positions == ()
+        assert result.payload.tolist() == list(payload)
+        assert result.tie_positions.tolist() == []
+
+    def test_result_is_arrays(self):
+        for copies in ([(0, 1, 1), (0, 0, 1)], np.array([[0, 1, 1]] * 3, dtype=np.uint8)):
+            result = majority_vote(copies)
+            assert result.payload.dtype == np.uint8 and result.payload.shape == (3,)
+            assert result.tie_positions.dtype == np.intp
 
     def test_single_flip_recovered_everywhere(self):
         clean = tuple(int(b) for b in "10110011101010001110101010111000101")
@@ -180,15 +192,15 @@ class TestMajorityVote:
             corrupt = list(clean)
             corrupt[pos] ^= 1
             result = majority_vote([clean, tuple(corrupt), clean])
-            assert result.payload == clean
-            assert result.tie_positions == ()
+            assert result.payload.tolist() == list(clean)
+            assert result.tie_positions.tolist() == []
 
     def test_two_copy_tie_takes_first_and_flags(self):
         a = (0, 1, 0)
         b = (0, 0, 0)
         result = majority_vote([a, b])
-        assert result.payload == a
-        assert result.tie_positions == (1,)
+        assert result.payload.tolist() == list(a)
+        assert result.tie_positions.tolist() == [1]
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -238,10 +250,10 @@ class TestTextDump:
 
 def walk_read_frame(frame: BitFrame):
     """Reference: the element-by-element read_frame the arrays replaced."""
-    elements = frame.elements
+    elements = frame_elements(frame)
     if not elements:
         raise InconsistentFrameError("empty frame")
-    if not isinstance(elements[0], Run) or not isinstance(elements[-1], Run):
+    if not isinstance(elements[0], tuple) or not isinstance(elements[-1], tuple):
         raise InconsistentFrameError("frame must start and end with a run")
     rows = []
     heights = set()
@@ -249,19 +261,19 @@ def walk_read_frame(frame: BitFrame):
     block = 0
     prev_run = False
     for e in elements:
-        if isinstance(e, Run):
+        if isinstance(e, tuple):
             if prev_run:
                 raise InconsistentFrameError("adjacent runs without a pause")
-            rows.append(e.bits)
+            rows.append(e)
             block += 1
             prev_run = True
         else:
             if not prev_run:
                 raise InconsistentFrameError("adjacent pauses")
-            if e.kind is not PauseKind.ROW:
+            if e is not PauseKind.ROW:
                 heights.add(block)
                 block = 0
-                if e.kind is PauseKind.MESSAGE:
+                if e is PauseKind.MESSAGE:
                     counts.append(1)
                 else:
                     counts[-1] += 1
@@ -413,9 +425,6 @@ class TestBitFrame:
         for a in (frame.bits, frame.run_lengths, frame.pause_kinds):
             with pytest.raises(ValueError):
                 a[0] = 1
-        assert frame.elements == (
-            Run((0, 1)), Pause(PauseKind.ROW), Run((1,)), Pause(PauseKind.GLYPH), Run((0,))
-        )
 
     def test_equality_compares_every_array(self):
         assert frame_from_text("01/1//0") == frame_from_text("01/1//0")
@@ -424,7 +433,7 @@ class TestBitFrame:
 
     def test_empty_frame(self):
         empty = BitFrame([], [], [])
-        assert empty.elements == () and frame_to_text(empty) == ""
+        assert frame_to_text(empty) == ""
         assert empty == BitFrame(np.zeros(0, np.uint8), [], [])
         with pytest.raises(InconsistentFrameError, match="empty frame"):
             read_frame(empty)

@@ -5,15 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fast_config, random_glyph_bits
+from conftest import fast_config, frame_elements, random_glyph_bits
 from glyphwave.framing import (
     BitFrame,
     GridInfo,
     PauseKind,
-    Run,
     frame_from_text,
     frame_message,
-    infer_grid,
+    read_frame,
 )
 from glyphwave.modem import (
     FULL_SCALE,
@@ -131,21 +130,18 @@ class TestConfigValidation:
 
 
 def one_glyph_frame(bits=(0, 1) * 17 + (1,)):
-    rows = tuple(tuple(bits[r * 5 : (r + 1) * 5]) for r in range(7))
-    from glyphwave.raster import GlyphBits
-
-    return frame_message([GlyphBits(rows)], 1, (5, 7))
+    return frame_message(np.reshape(bits, (1, 7, 5)), 1, (5, 7))
 
 
 def loop_modulate(frame, cfg):
     """Reference: modulate one frame element at a time."""
     table = _bit_tables(cfg)
     parts = []
-    for e in frame.elements:
-        if isinstance(e, Run):
-            parts.append(table[np.asarray(e.bits, dtype=np.intp)].reshape(-1))
+    for e in frame_elements(frame):
+        if isinstance(e, tuple):
+            parts.append(table[np.asarray(e, dtype=np.intp)].reshape(-1))
         else:
-            parts.append(np.zeros(cfg.pause_samples[e.kind]))
+            parts.append(np.zeros(cfg.pause_samples[e]))
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -211,12 +207,12 @@ class TestModulate:
             frame = frame_message([random_glyph_bits(rng) for _ in range(n)], rep, (5, 7))
             # independent tally of the closed form
             expected = 0
-            for e in frame.elements:
-                if isinstance(e, Run):
-                    expected += len(e.bits) * cfg.bit_duration
-                elif e.kind is PauseKind.ROW:
+            for e in frame_elements(frame):
+                if isinstance(e, tuple):
+                    expected += len(e) * cfg.bit_duration
+                elif e is PauseKind.ROW:
                     expected += cfg.pause_row
-                elif e.kind is PauseKind.GLYPH:
+                elif e is PauseKind.GLYPH:
                     expected += cfg.pause_glyph
                 else:
                     expected += cfg.pause_message
@@ -238,14 +234,14 @@ def zero_run_edges(frame, cfg):
     wave = modulate(frame, cfg)
     cut = cfg.bit_duration // 16
     pos = 0
-    for e in frame.elements:
-        if isinstance(e, Run):
-            end = pos + len(e.bits) * cfg.bit_duration
+    for e in frame_elements(frame):
+        if isinstance(e, tuple):
+            end = pos + len(e) * cfg.bit_duration
             wave.samples[pos : pos + cut] = 0.0
             wave.samples[end - cut : end] = 0.0
             pos = end
         else:
-            pos += cfg.pause_samples[e.kind]
+            pos += cfg.pause_samples[e]
     return wave
 
 
@@ -527,7 +523,7 @@ class TestDemodulate:
     def test_demodulated_frame_yields_grid(self):
         cfg = fast_config("fsk")
         frame = one_glyph_frame()
-        assert infer_grid(demodulate(modulate(frame, cfg), cfg)) == GridInfo(5, 7, 1, 1)
+        assert read_frame(demodulate(modulate(frame, cfg), cfg))[0] == GridInfo(5, 7, 1, 1)
 
     def test_all_zero_waveform(self):
         cfg = ModemConfig()

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import fast_config, middle_run_bit_flipped
-from glyphwave.framing import InconsistentFrameError, LengthMismatchError, frame_message, read_frame
+from glyphwave.framing import (
+    BitFrame,
+    InconsistentFrameError,
+    LengthMismatchError,
+    frame_message,
+    read_frame,
+)
 from glyphwave.glyphs import Glyph, bitmap_of, glyph_sequence, registry_for
 from glyphwave.modem import (
     AmbiguousPauseError,
@@ -45,7 +51,6 @@ from glyphwave.pipeline import (
     recognize_glyphs,
     transmit,
 )
-from glyphwave.raster import GlyphBits, serialize_glyph
 
 
 def convolve_apply_channel(wave, ch):
@@ -72,14 +77,15 @@ def one_glyph_recognizer(bits, dims=(5, 7)):
     return list(table)[best], int(dist[best]), int(dist[second])
 
 
-def glyph_rows(payload) -> GlyphBits:
-    return GlyphBits(tuple(tuple(payload[r * 5 : (r + 1) * 5]) for r in range(7)))
+def payload_of(g: Glyph) -> tuple[int, ...]:
+    """The 35 row-major bits of a canonical glyph, 1 = black."""
+    return tuple(map(int, bitmap_of(g).pixels))
 
 
 def halfway(a: Glyph, b: Glyph) -> tuple[int, ...]:
     """A payload as many flips from glyph a as from glyph b."""
-    pa = serialize_glyph(bitmap_of(a)).flatten()
-    pb = serialize_glyph(bitmap_of(b)).flatten()
+    pa = payload_of(a)
+    pb = payload_of(b)
     diff = [i for i in range(35) if pa[i] != pb[i]]
     payload = list(pa)
     for i in diff[: len(diff) // 2]:
@@ -194,16 +200,17 @@ class TestChannel:
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     def test_overflowing_gain_is_refused(self, snr_db):
         wave = Waveform(np.array([2.0, -2.0, 0.0, 2.0]), 48000)
-        # numpy warns of the overflow; the refusal is what is checked here
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+        at = "" if snr_db is None else " at snr_db 10"
+        want = f"gain 1e+308{at} overflows the waveform: output must be finite"
+        with pytest.raises(ValueError) as exc:
             apply_channel(wave, ChannelConfig(snr_db=snr_db, gain=1e308, seed=1))
+        assert str(exc.value) == want
 
 
 class TestRecognize:
     def test_exact_match_every_glyph(self):
         for g in Glyph:
-            bits = serialize_glyph(bitmap_of(g)).flatten()
-            found, dist, runner = recognize_glyph(bits)
+            found, dist, runner = recognize_glyph(payload_of(g))
             assert found is g
             assert dist == 0
             assert runner >= 3
@@ -213,7 +220,7 @@ class TestRecognize:
         assert found is Glyph.BLANK and dist == 0 and runner >= 3
 
     def test_single_flip_tolerated(self):
-        bits = list(serialize_glyph(bitmap_of(Glyph.LPAREN)).flatten())
+        bits = list(payload_of(Glyph.LPAREN))
         bits[17] ^= 1
         found, dist, runner = recognize_glyph(tuple(bits))
         assert found is Glyph.LPAREN
@@ -221,8 +228,8 @@ class TestRecognize:
         assert runner >= 2
 
     def test_equidistant_payload_refused(self):
-        a = serialize_glyph(bitmap_of(Glyph.LPAREN)).flatten()
-        b = serialize_glyph(bitmap_of(Glyph.RPAREN)).flatten()
+        a = payload_of(Glyph.LPAREN)
+        b = payload_of(Glyph.RPAREN)
         diff = [i for i in range(35) if a[i] != b[i]]
         payload = list(a)
         for i in diff[: len(diff) // 2]:
@@ -232,7 +239,7 @@ class TestRecognize:
 
     def test_batch_matches_one_glyph_recognizer(self, rng):
         glyphs = list(Glyph)
-        payloads = [serialize_glyph(bitmap_of(g)).flatten() for g in glyphs]
+        payloads = [payload_of(g) for g in glyphs]
         payloads += [halfway(a, b) for a in glyphs for b in glyphs if a is not b]
         payloads += [tuple(int(b) for b in rng.integers(0, 2, 35)) for _ in range(300)]
         order = rng.permutation(len(payloads))
@@ -623,7 +630,8 @@ class TestTransmitReceive:
         # error it kept, after SymbolSpec refused the rank.
         cfg = fast_config("fsk")
         too_many = [Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN] + [Glyph.ARROW_UP] * 10
-        frame = frame_message([serialize_glyph(bitmap_of(g)) for g in too_many], 1, (5, 7))
+        pixels = np.reshape([payload_of(g) for g in too_many], (-1, 7, 5))
+        frame = frame_message(pixels, 1, (5, 7))
         gc.disable()
         try:
             for dsl in ("vector", "spacetime vector"):
@@ -698,17 +706,38 @@ class TestTransmitReceive:
         assert report.corrected_bits == 1
         assert report.tie_flags == 0
 
+    @pytest.mark.parametrize(
+        "repetition, flips, corrected, ties, distance",
+        [
+            (3, [(0, 2), (2, 40)], 2, 0, 0),  # two copies, each outvoted
+            (3, [(0, 2), (1, 2)], 1, 0, 1),  # two copies outvote the clean one
+            (2, [(1, 2)], 1, 1, 0),  # a tie takes the first copy's bit
+            (2, [(0, 2), (1, 40)], 2, 2, 1),  # both copies flipped: two ties
+        ],
+    )
+    def test_vote_counts_of_flipped_copies(self, repetition, flips, corrected, ties, distance):
+        cfg = fast_config("fsk")
+        frame = message_frame(parse_dsl("vector"), repetition)
+        bits = frame.bits.reshape(repetition, -1).copy()
+        for copy, pos in flips:
+            bits[copy, pos] ^= 1
+        flipped = BitFrame(bits.reshape(-1), frame.run_lengths, frame.pause_kinds)
+        report = receive(modulate(flipped, cfg), cfg)
+        assert report.dsl_text == "vector"
+        assert (report.corrected_bits, report.tie_flags) == (corrected, ties)
+        assert sum(d for _, d, _ in report.per_glyph) == distance
+
     def test_unrecoverable_glyph(self):
         several = [
             halfway(Glyph.LPAREN, Glyph.RPAREN),
-            serialize_glyph(bitmap_of(Glyph.BLANK)).flatten(),
+            payload_of(Glyph.BLANK),
             halfway(Glyph.ARROW_UP, Glyph.ARROW_DOWN),
             halfway(Glyph.TILDE_UPPER, Glyph.POINT_DOT),  # nearest blank, no tie
         ]
         cases = [("fsk", [halfway(Glyph.LPAREN, Glyph.RPAREN)], 1, [0]), ("psk", several, 3, [0, 2])]
         for scheme, payloads, rep, positions in cases:
             cfg = fast_config(scheme)
-            frame = frame_message([glyph_rows(p) for p in payloads], rep, (5, 7))
+            frame = frame_message(np.reshape(payloads, (-1, 7, 5)), rep, (5, 7))
             with pytest.raises(UnrecoverableMessageError) as exc:
                 receive(modulate(frame, cfg), cfg)
             want = []

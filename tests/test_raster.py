@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from glyphwave.glyphs import Glyph, GlyphBitmap, bitmap_of
+from glyphwave.framing import frame_message, read_frame
+from glyphwave.glyphs import Glyph, GlyphBitmap, bitmap_of, glyph_pixels
 from glyphwave.notation import tensor
 from glyphwave.pipeline import message_glyphs
 from glyphwave.notation import Message
@@ -8,40 +10,53 @@ from glyphwave.raster import (
     Image,
     MixedDimensionsError,
     compose_strip,
-    deserialize_glyph,
     export_pbm,
-    serialize_glyph,
 )
 
 
+def pixel_row(g: Glyph) -> np.ndarray:
+    """Glyph g's row of the registry's pixel matrix."""
+    glyphs, pixels = glyph_pixels((5, 7))
+    return pixels[glyphs.index(g)]
+
+
+def framed_payload(bm: GlyphBitmap) -> np.ndarray:
+    """The bits a frame of one bitmap carries, read back from the frame."""
+    frame = frame_message(np.reshape(bm.pixels, (1, bm.height, bm.width)), 1, (5, 7))
+    return read_frame(frame)[1][0]
+
+
 class TestSerialize:
+    """Glyph bits are row-major, top row first, 1 = black: the registry's
+    pixel matrix holds them and frames carry them."""
+
     def test_blank_all_zero(self):
-        bits = serialize_glyph(bitmap_of(Glyph.BLANK))
-        assert bits.rows == ((0, 0, 0, 0, 0),) * 7
-        assert len(bits.flatten()) == 35
+        bits = pixel_row(Glyph.BLANK)
+        assert bits.reshape(7, 5).tolist() == [[0, 0, 0, 0, 0]] * 7
+        assert len(bits) == 35
 
     def test_all_black(self):
-        bits = serialize_glyph(GlyphBitmap(5, 7, (True,) * 35))
-        assert bits.flatten() == (1,) * 35
+        assert framed_payload(GlyphBitmap(5, 7, (True,) * 35)).tolist() == [1] * 35
 
     def test_lparen_rows(self):
-        bits = serialize_glyph(bitmap_of(Glyph.LPAREN))
-        assert bits.rows[0] == (0, 0, 1, 0, 0)
-        assert bits.rows[1] == (0, 1, 0, 0, 0)
+        rows = pixel_row(Glyph.LPAREN).reshape(7, 5)
+        assert rows[0].tolist() == [0, 0, 1, 0, 0]
+        assert rows[1].tolist() == [0, 1, 0, 0, 0]
 
     def test_every_canonical_glyph_is_35_bits(self):
         for g in Glyph:
-            assert len(serialize_glyph(bitmap_of(g)).flatten()) == 35
+            assert pixel_row(g).tolist() == list(bitmap_of(g).pixels)
+            assert len(pixel_row(g)) == 35
 
     def test_bijectivity_random_grids(self, rng):
         for _ in range(200):
             pixels = tuple(bool(b) for b in rng.integers(0, 2, 35))
             bm = GlyphBitmap(5, 7, pixels)
-            assert deserialize_glyph(serialize_glyph(bm).flatten(), (5, 7)) == bm
+            assert GlyphBitmap(5, 7, tuple(framed_payload(bm))) == bm
 
     def test_deserialize_length_check(self):
         with pytest.raises(ValueError):
-            deserialize_glyph((0,) * 34, (5, 7))
+            GlyphBitmap(5, 7, (0,) * 34)
 
 
 class TestCompose:

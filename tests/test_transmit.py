@@ -2,9 +2,10 @@
 
 The package frames a message from rows gathered out of the registry's
 pixel matrix and modulates with one np.take of chunk rows. The reference
-serializes each glyph's bitmap to bit rows, frames the GlyphBits sequence,
-and gathers the chunk rows by fancy indexing. Frames and samples must be
-bitwise equal, the sign of zero included.
+looks each glyph's bitmap up in the registry table, stacks the pixels into
+one (n_glyphs, height, width) array to frame, and gathers the chunk rows
+by fancy indexing. Frames and samples must be bitwise equal, the sign of
+zero included.
 
 Frames and waveforms the package builds itself skip the checks of the
 BitFrame and Waveform constructors; they must equal what those checks
@@ -33,15 +34,15 @@ from glyphwave.glyphs import (
 from glyphwave.modem import ModemConfig, Waveform, _bit_tables, demodulate, modulate
 from glyphwave.notation import MAXWELL, SPACETIME, Message, affinity, canonical_messages, tensor
 from glyphwave.pipeline import message_frame, message_glyphs, recognize_glyphs
-from glyphwave.raster import serialize_glyph
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def reference_frame(msg, repetition, dims=(5, 7)):
-    """Frame a message glyph by glyph from serialized bitmaps."""
-    bits = [serialize_glyph(bitmap_of(g, dims)) for g in message_glyphs(msg)]
-    return frame_message(bits, repetition, dims)
+    """Frame a message from its glyphs' bitmaps, looked up one by one."""
+    width, height = dims
+    pixels = np.array([bitmap_of(g, dims).pixels for g in message_glyphs(msg)], dtype=np.uint8)
+    return frame_message(pixels.reshape(-1, height, width), repetition, dims)
 
 
 def reference_modulate(frame, cfg):
