@@ -9,7 +9,7 @@ from .framing import (
     frame_to_text,
     majority_vote,
 )
-from .glyphs import DEFAULT_DIMS, Glyph, GlyphBitmap, bitmap_of, glyph_sequence, min_pairwise_hamming
+from .glyphs import DEFAULT_DIMS, Glyph, bitmap_of, glyph_sequence, min_pairwise_hamming
 from .modem import ModemConfig, Waveform, demodulate, load_config, modulate, read_wav, save_config, write_wav
 from .notation import Message, SymbolKind, SymbolSpec, canonical_messages, parse_dsl, print_dsl
 from .pipeline import (
@@ -23,6 +23,6 @@ from .pipeline import (
     recognize_glyph,
     transmit,
 )
-from .raster import Image, compose_strip, export_pbm
+from .raster import compose_strip, export_pbm
 
 __version__ = "0.1.0"

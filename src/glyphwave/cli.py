@@ -30,7 +30,8 @@ def _cmd_encode(args) -> int:
     glyphs = pipeline.message_glyphs(msg)
     strip = raster.compose_strip([bitmap_of(g, DEFAULT_DIMS) for g in glyphs], gap=args.gap)
     Path(args.out).write_bytes(raster.export_pbm(strip))
-    print(f"wrote {strip.width}x{strip.height} strip to {args.out}")
+    height, width = strip.shape
+    print(f"wrote {width}x{height} strip to {args.out}")
     return 0
 
 

@@ -143,8 +143,12 @@ def frame_message(glyph_bits: np.ndarray, repetition: int, dims: tuple[int, int]
         raise ValueError("nothing to frame")
     if not (is_prime(width) and is_prime(height)):
         raise NonPrimeDimensionsError(f"{width}x{height} is not a prime pair")
+    if pixels.ndim != 3:
+        raise DimensionMismatchError(
+            f"glyph bits must be a (n_glyphs, height, width) array, got shape {pixels.shape}"
+        )
     if pixels.shape[1:] != (height, width):
-        got = "x".join(map(str, pixels.shape[:0:-1]))
+        got = f"{pixels.shape[2]}x{pixels.shape[1]}"
         raise DimensionMismatchError(f"glyph bits are {got}, frame wants {width}x{height}")
     if not ((pixels == 0) | (pixels == 1)).all():
         raise ValueError("run bits must be 0 or 1")
@@ -198,22 +202,6 @@ def read_frame(frame: BitFrame) -> tuple[GridInfo, np.ndarray]:
     if any(c != n_glyphs for c in counts):
         raise RepetitionMismatchError(f"copies disagree on glyph count: {counts}")
     return GridInfo(width, height, n_glyphs, len(counts)), frame.bits.reshape(len(counts), -1)
-
-
-def prime_pair_factorization(n: int) -> tuple[int, int]:
-    """The unique ordered prime pair (p, q), p <= q, with p*q = n."""
-    factors = []
-    d, m = 2, n
-    while d * d <= m:
-        while m % d == 0:
-            factors.append(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    if len(factors) != 2:
-        raise NonPrimeDimensionsError(f"{n} is not a product of exactly two primes")
-    return (factors[0], factors[1])
 
 
 class MajorityResult(NamedTuple):

@@ -6,19 +6,17 @@ Grid sides are prime so a flattened payload factors back into its
 rectangle unambiguously. Alternative prime-pair grids can be installed as
 additional registries; there is no automatic rescaling.
 
-Installing a registry (the default table at import, then register_table)
-also builds its pixel matrix: one read-only uint8 row of width x height
-pixels per glyph, in table order. The transmitter gathers its glyphs'
-rows from that matrix and the recognizer compares payloads with it, so
-neither rebuilds bitmaps per message.
+A registry (the default table at import, then register_table) is held
+as one read-only (len(Glyph), height, width) uint8 array, 1 = black, its
+rows in tuple(Glyph) order. The transmitter gathers its glyphs' rows
+from that array and the recognizer compares payloads with it, so neither
+rebuilds bitmaps per message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -57,41 +55,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GlyphBitmap:
-    """Row-major boolean pixel grid, True = black. Sides are prime, >= 3."""
-
-    width: int
-    height: int
-    pixels: tuple[bool, ...]
-
-    def __post_init__(self):
-        if self.width < 3 or self.height < 3:
-            raise ValueError("grid sides must be at least 3")
-        if not (is_prime(self.width) and is_prime(self.height)):
-            raise ValueError(f"grid sides must be prime, got {self.width}x{self.height}")
-        if len(self.pixels) != self.width * self.height:
-            raise ValueError("pixel count does not match width x height")
-        object.__setattr__(self, "pixels", tuple(bool(p) for p in self.pixels))
-
-    def row(self, y: int) -> tuple[bool, ...]:
-        return self.pixels[y * self.width : (y + 1) * self.width]
-
-    def flipped_vertical(self) -> "GlyphBitmap":
-        rows = [self.row(y) for y in reversed(range(self.height))]
-        return GlyphBitmap(self.width, self.height, tuple(p for r in rows for p in r))
-
-
-def bitmap_from_art(art: tuple[str, ...]) -> GlyphBitmap:
-    """Build a bitmap from rows of '#' (black) and '.' (white)."""
-    height = len(art)
+def bitmap_from_art(art: tuple[str, ...]) -> np.ndarray:
+    """A (height, width) uint8 bitmap from rows of '#' (black) and '.' (white)."""
     width = len(art[0])
-    pixels = []
     for line in art:
         if len(line) != width or set(line) - {"#", "."}:
             raise ValueError(f"bad art row {line!r}")
-        pixels.extend(ch == "#" for ch in line)
-    return GlyphBitmap(width, height, tuple(pixels))
+    return np.array([[ch == "#" for ch in line] for line in art], dtype=np.uint8)
 
 
 # Canonical 5x7 pixel art. Arrow-down and tilde-lower are vertical mirrors
@@ -154,37 +124,43 @@ _ART_5X7 = {
 }
 
 
-def _build_default_table() -> dict[Glyph, GlyphBitmap]:
+def _build_default_table() -> dict[Glyph, np.ndarray]:
     table = {g: bitmap_from_art(art) for g, art in _ART_5X7.items()}
-    table[Glyph.ARROW_DOWN] = table[Glyph.ARROW_UP].flipped_vertical()
-    table[Glyph.TILDE_LOWER] = table[Glyph.TILDE_UPPER].flipped_vertical()
+    table[Glyph.ARROW_DOWN] = table[Glyph.ARROW_UP][::-1]
+    table[Glyph.TILDE_LOWER] = table[Glyph.TILDE_UPPER][::-1]
     return table
 
 
-class _Registry(NamedTuple):
-    table: Mapping[Glyph, GlyphBitmap]
-    pixels: np.ndarray  # (len(table), width * height) uint8, table order
-
-
-def _registry(table: dict[Glyph, GlyphBitmap]) -> _Registry:
-    pixels = np.array([bm.pixels for bm in table.values()], dtype=np.uint8)
-    pixels.flags.writeable = False
-    return _Registry(MappingProxyType(dict(table)), pixels)
-
-
-_REGISTRIES: dict[tuple[int, int], _Registry] = {DEFAULT_DIMS: _registry(_build_default_table())}
-
-
-def register_table(dims: tuple[int, int], table: dict[Glyph, GlyphBitmap]) -> None:
-    """Install a glyph table for an alternative prime-pair grid."""
+def _registry(dims: tuple[int, int], table: Mapping[Glyph, np.typing.ArrayLike]) -> np.ndarray:
+    """The read-only (len(Glyph), height, width) uint8 array of a checked table."""
     width, height = dims
+    if width < 3 or height < 3:
+        raise ValueError("grid sides must be at least 3")
+    if not (is_prime(width) and is_prime(height)):
+        raise ValueError(f"grid sides must be prime, got {width}x{height}")
     missing = set(Glyph) - set(table)
     if missing:
         raise ValueError(f"table is missing glyphs: {sorted(g.value for g in missing)}")
-    for g, bm in table.items():
-        if (bm.width, bm.height) != (width, height):
-            raise ValueError(f"bitmap for {g.value} is {bm.width}x{bm.height}, not {width}x{height}")
-    _REGISTRIES[(width, height)] = _registry(table)
+    pixels = np.empty((len(Glyph), height, width), dtype=np.uint8)
+    for i, g in enumerate(Glyph):
+        bitmap = np.asarray(table[g])
+        if bitmap.shape != (height, width):
+            got = "x".join(map(str, bitmap.shape[::-1]))
+            raise ValueError(f"bitmap for {g.value} is {got}, not {width}x{height}")
+        pixels[i] = bitmap != 0
+    pixels.flags.writeable = False
+    return pixels
+
+
+_REGISTRIES = {DEFAULT_DIMS: _registry(DEFAULT_DIMS, _build_default_table())}
+
+
+def register_table(dims: tuple[int, int], table: Mapping[Glyph, np.typing.ArrayLike]) -> None:
+    """Install a glyph table for an alternative prime-pair grid.
+
+    Every glyph needs a (height, width) bitmap; a non-zero pixel is black.
+    """
+    _REGISTRIES[tuple(dims)] = _registry(dims, table)
 
 
 def unregister_table(dims: tuple[int, int]) -> None:
@@ -193,46 +169,25 @@ def unregister_table(dims: tuple[int, int]) -> None:
     _REGISTRIES.pop(dims, None)
 
 
-def _installed(dims: tuple[int, int]) -> _Registry:
+def glyph_pixels(dims: tuple[int, int]) -> np.ndarray:
+    """The registry at dims: a read-only (len(Glyph), height, width) uint8
+    array whose row i is the bitmap of tuple(Glyph)[i], 1 = black."""
     try:
         return _REGISTRIES[tuple(dims)]
     except KeyError:
         raise UnsupportedDimensionsError(f"no glyph registry for {dims[0]}x{dims[1]}") from None
 
 
-def registry_for(dims: tuple[int, int]) -> Mapping[Glyph, GlyphBitmap]:
-    """The installed glyph table at dims, read-only."""
-    return _installed(dims).table
-
-
-def glyph_pixels(dims: tuple[int, int]) -> tuple[tuple[Glyph, ...], np.ndarray]:
-    """The glyphs of the registry at dims and its read-only pixel matrix.
-
-    Row i of the (n_glyphs, width * height) uint8 matrix is the row-major
-    bitmap of glyph i, 1 = black.
-    """
-    table, pixels = _installed(dims)
-    return tuple(table), pixels
-
-
-def bitmap_of(glyph: Glyph, dims: tuple[int, int] = DEFAULT_DIMS) -> GlyphBitmap:
-    """Canonical bitmap of one glyph at the given grid size (pure lookup)."""
-    return registry_for(dims)[glyph]
-
-
-def hamming(a: GlyphBitmap, b: GlyphBitmap) -> int:
-    return sum(pa != pb for pa, pb in zip(a.pixels, b.pixels))
+def bitmap_of(glyph: Glyph, dims: tuple[int, int] = DEFAULT_DIMS) -> np.ndarray:
+    """Canonical (height, width) bitmap of one glyph at dims, read-only."""
+    return glyph_pixels(dims)[tuple(Glyph).index(glyph)]
 
 
 def min_pairwise_hamming(dims: tuple[int, int] = DEFAULT_DIMS) -> int:
     """Smallest Hamming distance over all unordered glyph pairs at dims."""
-    table = registry_for(dims)
-    glyphs = list(table)
-    return min(
-        hamming(table[glyphs[i]], table[glyphs[j]])
-        for i in range(len(glyphs))
-        for j in range(i + 1, len(glyphs))
-    )
+    flat = glyph_pixels(dims).reshape(len(Glyph), -1)
+    dist = (flat[:, None] != flat).sum(axis=2)
+    return int(dist[np.triu_indices(len(Glyph), 1)].min())
 
 
 def glyph_sequence(spec: SymbolSpec) -> list[Glyph]:

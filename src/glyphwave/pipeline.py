@@ -1,12 +1,12 @@
 """End-to-end transmitter and receiver.
 
 Transmit: DSL text -> symbols -> glyph run (symbols joined by one blank
-cell) -> the glyphs' rows of the registry's pixel matrix -> framed bits ->
-waveform. Receive walks the same path backwards, voting across repeated
-copies, matching each recovered payload to the nearest canonical glyph,
-and re-parsing glyphs into symbols in one linear pass. A simulated
-channel applies gain and seeded white Gaussian noise at a given SNR so
-receiver behavior can be studied reproducibly.
+cell) -> the glyphs' rows of the registry's (n_glyphs, height, width)
+pixel array -> framed bits -> waveform. Receive walks the same path
+backwards, voting across repeated copies, matching each recovered payload
+to the nearest canonical glyph, and re-parsing glyphs into symbols in one
+linear pass. A simulated channel applies gain and seeded white Gaussian
+noise at a given SNR so receiver behavior can be studied reproducibly.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ class UnrecoverableMessageError(ValueError):
         self.failures = failures
 
 
+# A registry's rows are in tuple(Glyph) order.
+_GLYPHS = tuple(Glyph)
+_ROW_OF = {g: i for i, g in enumerate(_GLYPHS)}
+
 # At or below this SNR the noise scale 10 ** (-snr_db / 20) overflows a float.
 _MIN_SNR_DB = -20 * math.log10(np.finfo(float).max)
 
@@ -69,6 +73,17 @@ class ChannelConfig:
             raise ValueError(f"gain must be finite and positive, got {self.gain}")
 
 
+def _rms(x: np.ndarray) -> float:
+    """Root-mean-square of x, computed in x's own memory. The squares are
+    taken at the exact power-of-two scale that brings the peak into
+    [0.5, 1): they cannot overflow or underflow, and where the plain
+    formula's do neither, the result equals it bit for bit."""
+    np.abs(x, out=x)
+    e = np.frexp(x.max())[1]
+    np.square(np.ldexp(x, -e, out=x), out=x)
+    return float(np.ldexp(np.sqrt(np.mean(x)), e))
+
+
 def apply_channel(wave: Waveform, ch: ChannelConfig) -> Waveform:
     """Scale by gain and add seeded white Gaussian noise at the set SNR.
 
@@ -89,7 +104,7 @@ def apply_channel(wave: Waveform, ch: ChannelConfig) -> Waveform:
                 active[k:] |= active[:-k]
                 active[:-k] |= active[k:]
             if np.any(active):
-                signal_rms = float(np.sqrt(np.mean(out[active] ** 2)))
+                signal_rms = _rms(out[active])
                 sigma = signal_rms * 10 ** (-ch.snr_db / 20)
                 noisy = np.random.default_rng(ch.seed).normal(0.0, sigma, len(out))
                 noisy += out
@@ -110,13 +125,13 @@ def recognize_glyphs(
     AmbiguousGlyphError for each row with a tie for nearest, rather than
     a guess.
     """
-    glyphs, pixels = glyph_pixels(dims)
+    pixels = glyph_pixels(dims)
     width, height = dims
     if payloads.shape[1] != width * height:
         raise LengthMismatchError(
             f"payload has {payloads.shape[1]} bits, grid wants {width * height}"
         )
-    dist = (payloads[:, None, :] != pixels).sum(axis=2)
+    dist = (payloads[:, None, :] != pixels.reshape(len(_GLYPHS), -1)).sum(axis=2)
     order = np.argsort(dist, axis=1, kind="stable")[:, :2]
     best, second = np.take_along_axis(dist, order, axis=1).T.tolist()
     matches, failures = [], []
@@ -124,7 +139,7 @@ def recognize_glyphs(
         if d == runner:
             failures.append((row, AmbiguousGlyphError(f"payload is {d} flips from two glyphs")))
         else:
-            matches.append((glyphs[g], d, runner))
+            matches.append((_GLYPHS[g], d, runner))
     return matches, failures
 
 
@@ -236,12 +251,9 @@ def message_glyphs(msg: Message) -> list[Glyph]:
 def message_frame(
     msg: Message, repetition: int = 1, dims: tuple[int, int] = DEFAULT_DIMS
 ) -> BitFrame:
-    """Frame a message's glyphs, gathered as rows of the registry's pixel matrix."""
-    glyphs, pixels = glyph_pixels(dims)
-    row_of = {g: i for i, g in enumerate(glyphs)}
-    rows = [row_of[g] for g in message_glyphs(msg)]
-    width, height = dims
-    return frame_message(np.take(pixels, rows, axis=0).reshape(-1, height, width), repetition, dims)
+    """Frame a message's glyphs, gathered as rows of the registry's pixel array."""
+    rows = [_ROW_OF[g] for g in message_glyphs(msg)]
+    return frame_message(glyph_pixels(dims)[rows], repetition, dims)
 
 
 def transmit(

@@ -1,65 +1,49 @@
 """Glyph strip images and PBM export.
 
-Strip images juxtapose glyph bitmaps horizontally with a configurable
-all-white gap, row-major and 1 = black in the export; the gap is a display
-nicety only and never enters the transmitted bit stream, which takes its
-pixels from the glyph registry's pixel matrix (glyphs.glyph_pixels).
+A strip is a (height, total width) uint8 array that juxtaposes glyph
+bitmaps horizontally with a configurable all-white gap, 1 = black; the
+gap is a display nicety only and never enters the transmitted bit stream,
+which takes its pixels from the glyph registry (glyphs.glyph_pixels).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .glyphs import GlyphBitmap
+import numpy as np
 
 
 class MixedDimensionsError(ValueError):
     """Glyphs of differing grid sizes cannot share one strip."""
 
 
-@dataclass(frozen=True)
-class Image:
-    """Arbitrary-size row-major black and white image."""
-
-    width: int
-    height: int
-    pixels: tuple[bool, ...]
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image must be at least 1x1")
-        if len(self.pixels) != self.width * self.height:
-            raise ValueError("pixel count does not match width x height")
-
-    def row(self, y: int) -> tuple[bool, ...]:
-        return self.pixels[y * self.width : (y + 1) * self.width]
+def _size(shape: tuple[int, ...]) -> str:
+    """A (height, width) shape as 'WxH'."""
+    return "x".join(map(str, shape[::-1]))
 
 
-def compose_strip(bitmaps: list[GlyphBitmap], gap: int = 1) -> Image:
-    """Lay glyph bitmaps left to right with all-white gap columns between."""
+def compose_strip(bitmaps: list[np.ndarray], gap: int = 1) -> np.ndarray:
+    """Lay (height, width) glyph bitmaps left to right with all-white gap
+    columns between, as one (height, total width) uint8 array."""
     if not bitmaps:
         raise ValueError("nothing to compose")
     if gap < 0:
         raise ValueError("gap must be non-negative")
-    height = bitmaps[0].height
+    shape = np.shape(bitmaps[0])
     for bm in bitmaps:
-        if (bm.width, bm.height) != (bitmaps[0].width, bitmaps[0].height):
-            raise MixedDimensionsError(
-                f"got {bm.width}x{bm.height} next to {bitmaps[0].width}x{bitmaps[0].height}"
-            )
-    width = sum(bm.width for bm in bitmaps) + gap * (len(bitmaps) - 1)
-    pixels = []
-    for y in range(height):
-        for i, bm in enumerate(bitmaps):
-            if i:
-                pixels.extend([False] * gap)
-            pixels.extend(bm.row(y))
-    return Image(width, height, tuple(pixels))
+        if np.shape(bm) != shape:
+            raise MixedDimensionsError(f"got {_size(np.shape(bm))} next to {_size(shape)}")
+    height, width = shape
+    strip = np.zeros((height, len(bitmaps) * (width + gap) - gap), dtype=np.uint8)
+    for i, bm in enumerate(bitmaps):
+        strip[:, i * (width + gap) : i * (width + gap) + width] = bm
+    return strip
 
 
-def export_pbm(img: Image | GlyphBitmap) -> bytes:
-    """Plain-text PBM (P1): '1' is black. Byte-stable for equal inputs."""
-    lines = [f"P1\n{img.width} {img.height}\n"]
-    for y in range(img.height):
-        lines.append(" ".join("1" if p else "0" for p in img.row(y)) + "\n")
-    return "".join(lines).encode("ascii")
+def export_pbm(img: np.ndarray) -> bytes:
+    """Plain-text PBM (P1) of a 2-D array of 0/1 pixels: '1' is black.
+    Byte-stable for equal inputs."""
+    img = np.asarray(img)
+    if img.ndim != 2 or not img.size:
+        raise ValueError(f"image must be a 2-D array of at least 1x1 pixels, got shape {img.shape}")
+    height, width = img.shape
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in (img != 0).astype(np.uint8).tolist())
+    return f"P1\n{width} {height}\n{rows}".encode("ascii")

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from glyphwave.framing import BitFrame, PauseKind, frame_to_text
+from glyphwave.framing import BitFrame, NonPrimeDimensionsError, PauseKind, frame_to_text
+from glyphwave.glyphs import _ART_5X7, Glyph
 from glyphwave.modem import ModemConfig
 
 
@@ -27,6 +28,35 @@ def random_glyph_bits(rng: np.random.Generator, dims=(5, 7)) -> np.ndarray:
     """A (height, width) uint8 array of random pixels, drawn row by row."""
     width, height = dims
     return np.array([rng.integers(0, 2, width) for _ in range(height)], dtype=np.uint8)
+
+
+def prime_pair_factorization(n: int) -> tuple[int, int]:
+    """The unique ordered prime pair (p, q), p <= q, with p*q = n."""
+    factors = []
+    d, m = 2, n
+    while d * d <= m:
+        while m % d == 0:
+            factors.append(d)
+            m //= d
+        d += 1
+    if m > 1:
+        factors.append(m)
+    if len(factors) != 2:
+        raise NonPrimeDimensionsError(f"{n} is not a product of exactly two primes")
+    return (factors[0], factors[1])
+
+
+def art_pixels(art: tuple[str, ...]) -> np.ndarray:
+    """The (height, width) uint8 pixels of rows of '#' (black) and '.'
+    (white), read character by character."""
+    return np.array([[1 if ch == "#" else 0 for ch in line] for line in art], dtype=np.uint8)
+
+
+def canonical_art() -> dict:
+    """The 5x7 art of every glyph, in tuple(Glyph) order: the drawn arts,
+    and arrow-down and tilde-lower as their partners' rows reversed."""
+    mirrors = {Glyph.ARROW_DOWN: Glyph.ARROW_UP, Glyph.TILDE_LOWER: Glyph.TILDE_UPPER}
+    return {g: _ART_5X7[g] if g in _ART_5X7 else _ART_5X7[mirrors[g]][::-1] for g in Glyph}
 
 
 _PAUSES = {"/" * (i + 1): kind for i, kind in enumerate(PauseKind)}

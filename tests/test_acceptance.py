@@ -11,22 +11,16 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import fast_config, frame_elements, random_glyph_bits
-from glyphwave.framing import (
-    PauseKind,
-    frame_message,
-    majority_vote,
+from conftest import (
+    art_pixels,
+    canonical_art,
+    fast_config,
+    frame_elements,
     prime_pair_factorization,
-    read_frame,
+    random_glyph_bits,
 )
-from glyphwave.glyphs import (
-    DEFAULT_DIMS,
-    Glyph,
-    bitmap_of,
-    hamming,
-    min_pairwise_hamming,
-    registry_for,
-)
+from glyphwave.framing import PauseKind, frame_message, majority_vote, read_frame
+from glyphwave.glyphs import DEFAULT_DIMS, Glyph, bitmap_of, min_pairwise_hamming
 from glyphwave.modem import ModemConfig, modulate, read_wav, write_wav
 from glyphwave.notation import (
     MAXWELL,
@@ -69,8 +63,8 @@ def criterion(number: int, budget_s: float, label: str):
 def test_criterion_1_grid_constants():
     with criterion(1, 1.0, "grid constants: 35 bits, 5x7, unique prime pair"):
         for g in Glyph:
-            bits = np.asarray(bitmap_of(g).pixels, dtype=np.uint8)
-            assert bits.shape == (35,)
+            bits = bitmap_of(g).reshape(-1)
+            assert bits.shape == (35,) and bits.dtype == np.uint8
         assert prime_pair_factorization(35) == (5, 7)
         for msg in canonical_messages().values():
             info, _ = read_frame(message_frame(msg, repetition=1))
@@ -137,14 +131,15 @@ def test_criterion_3_random_message_property():
 
 def test_criterion_4_glyph_robustness():
     with criterion(4, 1.0, "all 280 single-bit flips recognized; min distance >= 3"):
-        table = registry_for(DEFAULT_DIMS)
-        dists = [hamming(table[a], table[b]) for a, b in combinations(Glyph, 2)]
+        clean_of = {g: art_pixels(art).reshape(-1) for g, art in canonical_art().items()}
+        dists = [int((clean_of[a] != clean_of[b]).sum()) for a, b in combinations(Glyph, 2)]
         assert len(dists) == 28
         assert min(dists) >= 3
         assert min_pairwise_hamming(DEFAULT_DIMS) == min(dists)
         cases = 0
         for g in Glyph:
-            clean = np.asarray(table[g].pixels, dtype=np.uint8)
+            clean = clean_of[g]
+            assert np.array_equal(bitmap_of(g).reshape(-1), clean)
             for pos in range(35):
                 flipped = clean.copy()
                 flipped[pos] ^= 1
@@ -223,7 +218,7 @@ def test_criterion_8_numerical_modem_checks():
         assert cross <= 1e-9
 
         ook = ModemConfig(scheme="ask", amp0=0.0)
-        blank = np.asarray(bitmap_of(Glyph.BLANK).pixels, dtype=np.uint8).reshape(1, 7, 5)
+        blank = bitmap_of(Glyph.BLANK)[None]
         frame = frame_message(blank, 1, (5, 7))
         blank_wave = modulate(frame, ook)
         assert not blank_wave.samples.any()  # every zero bit is exact silence

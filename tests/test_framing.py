@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fast_config, frame_elements, random_glyph_bits
+from conftest import fast_config, frame_elements, prime_pair_factorization, random_glyph_bits
 from glyphwave.framing import (
     BitFrame,
     DimensionMismatchError,
@@ -15,18 +15,12 @@ from glyphwave.framing import (
     frame_message,
     frame_to_text,
     majority_vote,
-    prime_pair_factorization,
     read_frame,
 )
 from glyphwave.glyphs import Glyph, bitmap_of, is_prime
 from glyphwave.modem import demodulate, modulate
 from glyphwave.notation import canonical_messages
 from glyphwave.pipeline import message_frame, transmit
-
-
-def glyph_bits(g: Glyph) -> np.ndarray:
-    """The (7, 5) uint8 pixel array of a canonical glyph."""
-    return np.array(bitmap_of(g).pixels, dtype=np.uint8).reshape(7, 5)
 
 
 def walk_counts(frame: BitFrame):
@@ -47,7 +41,7 @@ def walk_counts(frame: BitFrame):
 
 class TestFrameMessage:
     def test_single_blank_glyph(self):
-        frame = frame_message([glyph_bits(Glyph.BLANK)], 1, (5, 7))
+        frame = frame_message([bitmap_of(Glyph.BLANK)], 1, (5, 7))
         runs, bits, row_p, glyph_p, msg_p = walk_counts(frame)
         assert (runs, bits, row_p, glyph_p, msg_p) == (7, 35, 6, 0, 0)
         assert (frame.run_lengths == 5).all() and not frame.bits.any()
@@ -70,14 +64,16 @@ class TestFrameMessage:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            frame_message([glyph_bits(Glyph.BLANK)], 1, (3, 7))
+            frame_message([bitmap_of(Glyph.BLANK)], 1, (3, 7))
 
     def test_dimension_mismatch_names_the_first_glyph_off_the_grid(self):
         cases = [
             ((2, 7, 3), "glyph bits are 3x7, frame wants 5x7"),
-            ((7, 5), "glyph bits are 5, frame wants 5x7"),  # one glyph, not stacked
             ((2, 5, 7), "glyph bits are 7x5, frame wants 5x7"),
         ]
+        rank = "glyph bits must be a (n_glyphs, height, width) array, got shape "
+        # One glyph, not stacked; a flat payload; one stack too many.
+        cases += [(shape, rank + str(shape)) for shape in ((7, 5), (35,), (1, 1, 7, 5))]
         for shape, want in cases:
             with pytest.raises(DimensionMismatchError) as exc:
                 frame_message(np.zeros(shape, dtype=np.uint8), 1, (5, 7))
@@ -106,10 +102,10 @@ class TestFrameMessage:
 
     def test_bad_repetition(self):
         with pytest.raises(ValueError):
-            frame_message([glyph_bits(Glyph.BLANK)], 0, (5, 7))
+            frame_message([bitmap_of(Glyph.BLANK)], 0, (5, 7))
 
     def test_non_integer_repetition(self):
-        blank = [glyph_bits(Glyph.BLANK)]
+        blank = [bitmap_of(Glyph.BLANK)]
         for repetition, shown in ((2.5, "2.5"), ("3", "'3'")):
             want = f"^repetition must be an integer, got {shown}$"
             with pytest.raises(ValueError, match=want):
@@ -121,7 +117,7 @@ class TestFrameMessage:
 
 class TestInferGrid:
     def test_single_glyph(self):
-        frame = frame_message([glyph_bits(Glyph.ARROW_UP)], 1, (5, 7))
+        frame = frame_message([bitmap_of(Glyph.ARROW_UP)], 1, (5, 7))
         assert read_frame(frame)[0] == GridInfo(5, 7, 1, 1)
 
     def test_em_triplet_threefold(self):
@@ -164,8 +160,8 @@ class TestInferGrid:
                 frame_from_text(text)
 
     def test_structural_repetition_mismatch(self):
-        good = frame_to_text(frame_message([glyph_bits(Glyph.LPAREN)] * 2, 1, (5, 7)))
-        bad = frame_to_text(frame_message([glyph_bits(Glyph.LPAREN)], 1, (5, 7)))
+        good = frame_to_text(frame_message([bitmap_of(Glyph.LPAREN)] * 2, 1, (5, 7)))
+        bad = frame_to_text(frame_message([bitmap_of(Glyph.LPAREN)], 1, (5, 7)))
         for copies, counts in (((good, good, bad), "[2, 2, 1]"), ((bad, good, good), "[1, 2, 2]")):
             with pytest.raises(RepetitionMismatchError) as exc:
                 read_frame(frame_from_text("///".join(copies)))
@@ -226,7 +222,7 @@ class TestFactorization:
 
 class TestTextDump:
     def test_format(self):
-        frame = frame_message([glyph_bits(Glyph.BLANK)], 2, (5, 7))
+        frame = frame_message([bitmap_of(Glyph.BLANK)], 2, (5, 7))
         text = frame_to_text(frame)
         assert text.startswith("00000/00000/")
         assert "///" in text

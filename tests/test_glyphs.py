@@ -1,53 +1,98 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from conftest import art_pixels, canonical_art
 from glyphwave.glyphs import (
     DEFAULT_DIMS,
     Glyph,
-    GlyphBitmap,
     UnsupportedDimensionsError,
+    _build_default_table,
     bitmap_from_art,
     bitmap_of,
+    glyph_pixels,
     glyph_sequence,
-    hamming,
     is_prime,
     min_pairwise_hamming,
     register_table,
-    registry_for,
     unregister_table,
 )
 from glyphwave.notation import MAXWELL, SPACETIME, affinity, tensor
 
 
+def art_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    """Hamming distance of two arts, counted character by character."""
+    return sum(pa != pb for pa, pb in zip("".join(a), "".join(b)))
+
+
+def blank_table(dims: tuple[int, int]) -> dict:
+    """Every glyph as the all-white (height, width) bitmap of dims."""
+    width, height = dims
+    return {g: np.zeros((height, width), dtype=np.uint8) for g in Glyph}
+
+
 class TestBitmaps:
     def test_blank_is_all_white(self):
         bm = bitmap_of(Glyph.BLANK)
-        assert bm.width == 5 and bm.height == 7
-        assert bm.pixels == (False,) * 35
+        assert bm.shape == (7, 5) and bm.dtype == np.uint8
+        assert not bm.any()
 
     def test_lparen_transcription(self):
         bm = bitmap_of(Glyph.LPAREN)
-        assert bm.row(0) == (False, False, True, False, False)
-        assert bm.row(1) == (False, True, False, False, False)
-        assert bm.row(2) == (True, False, False, False, False)
+        assert bm[0].tolist() == [0, 0, 1, 0, 0]
+        assert bm[1].tolist() == [0, 1, 0, 0, 0]
+        assert bm[2].tolist() == [1, 0, 0, 0, 0]
 
     def test_mirror_laws(self):
-        assert bitmap_of(Glyph.ARROW_UP).flipped_vertical() == bitmap_of(Glyph.ARROW_DOWN)
-        assert bitmap_of(Glyph.TILDE_UPPER).flipped_vertical() == bitmap_of(Glyph.TILDE_LOWER)
+        assert np.array_equal(bitmap_of(Glyph.ARROW_UP)[::-1], bitmap_of(Glyph.ARROW_DOWN))
+        assert np.array_equal(bitmap_of(Glyph.TILDE_UPPER)[::-1], bitmap_of(Glyph.TILDE_LOWER))
 
     def test_pure_lookup(self):
-        assert bitmap_of(Glyph.POINT_DOT) == bitmap_of(Glyph.POINT_DOT)
+        pixels = glyph_pixels(DEFAULT_DIMS)
+        for i, (g, art) in enumerate(canonical_art().items()):
+            assert np.array_equal(bitmap_of(g), art_pixels(art)), g
+            assert np.array_equal(bitmap_of(g), pixels[i]), g
+            assert np.shares_memory(bitmap_of(g), pixels), g
 
     def test_non_prime_sides_rejected(self):
-        with pytest.raises(ValueError):
-            GlyphBitmap(4, 7, (False,) * 28)
-        with pytest.raises(ValueError):
-            GlyphBitmap(5, 9, (False,) * 45)
+        for side in ((4, 7), (5, 9)):
+            with pytest.raises(ValueError, match=r"^grid sides must be prime, got \d+x\d+$"):
+                register_table(side, blank_table(side))
+        with pytest.raises(UnsupportedDimensionsError):
+            glyph_pixels((4, 7))
 
     def test_side_below_three_rejected(self):
-        with pytest.raises(ValueError):
-            GlyphBitmap(2, 7, (False,) * 14)
+        for side in ((2, 7), (7, 2), (2, 2)):
+            with pytest.raises(ValueError, match="^grid sides must be at least 3$"):
+                register_table(side, blank_table(side))
+
+    def test_non_zero_pixel_reads_as_black(self):
+        table = blank_table((3, 3))
+        table[Glyph.POINT_DOT] = [[0, 0, 0], [0, 2, 0], [0, 0, 0]]
+        table[Glyph.LPAREN] = np.full((3, 3), -1.5)
+        register_table((3, 3), table)
+        try:
+            assert bitmap_of(Glyph.POINT_DOT, (3, 3)).tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+            assert bitmap_of(Glyph.LPAREN, (3, 3)).tolist() == [[1] * 3] * 3
+            assert glyph_pixels((3, 3)).dtype == np.uint8
+        finally:
+            unregister_table((3, 3))
+
+    def test_results_are_read_only(self):
+        pixels = glyph_pixels(DEFAULT_DIMS)
+        assert pixels.shape == (len(Glyph), 7, 5) and pixels.dtype == np.uint8
+        for a in (pixels, bitmap_of(Glyph.BLANK)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+        assert not bitmap_of(Glyph.BLANK).any()
+
+    def test_art_is_checked(self):
+        assert bitmap_from_art(("#.", ".#")).tolist() == [[1, 0], [0, 1]]
+        for art in (("#.", "#"), ("#.", "#x")):
+            with pytest.raises(ValueError, match="^bad art row"):
+                bitmap_from_art(art)
 
 
 class TestDistances:
@@ -55,18 +100,18 @@ class TestDistances:
         assert min_pairwise_hamming(DEFAULT_DIMS) >= 3
 
     def test_exhaustive_pairs_match_min(self):
-        table = registry_for(DEFAULT_DIMS)
+        arts = canonical_art()
         pairs = list(combinations(Glyph, 2))
         assert len(pairs) == 28
-        dists = [hamming(table[a], table[b]) for a, b in pairs]
+        dists = [art_distance(arts[a], arts[b]) for a, b in pairs]
         assert min(dists) == min_pairwise_hamming(DEFAULT_DIMS)
         assert all(d >= 3 for d in dists)
 
     def test_blank_distance_is_popcount(self):
-        table = registry_for(DEFAULT_DIMS)
-        blank = table[Glyph.BLANK]
-        for g, bm in table.items():
-            assert hamming(blank, bm) == sum(bm.pixels)
+        blank = bitmap_of(Glyph.BLANK)
+        for g, art in canonical_art().items():
+            bm = bitmap_of(g)
+            assert (blank != bm).sum() == bm.sum() == "".join(art).count("#"), g
 
     def test_degenerate_registry_reports_zero(self):
         dot = bitmap_of(Glyph.POINT_DOT)
@@ -75,7 +120,8 @@ class TestDistances:
         try:
             assert min_pairwise_hamming((5, 7)) == 0
         finally:
-            register_table((5, 7), registry_for_default())
+            register_table((5, 7), _build_default_table())
+        assert min_pairwise_hamming((5, 7)) >= 3
 
     def test_unsupported_dims(self):
         with pytest.raises(UnsupportedDimensionsError):
@@ -84,20 +130,15 @@ class TestDistances:
             min_pairwise_hamming((3, 5))
 
 
-def registry_for_default():
-    # Rebuild the canonical table from the art so tests can restore it.
-    from glyphwave.glyphs import _build_default_table
-
-    return _build_default_table()
-
-
 class TestAlternativeRegistry:
     def test_register_and_use(self):
         art3 = {g: bitmap_from_art(("###", "#.#", "###")) for g in Glyph}
         art3[Glyph.BLANK] = bitmap_from_art(("...", "...", "..."))
         register_table((3, 3), art3)
         try:
-            assert bitmap_of(Glyph.BLANK, (3, 3)).pixels == (False,) * 9
+            assert bitmap_of(Glyph.BLANK, (3, 3)).tolist() == [[0] * 3] * 3
+            assert bitmap_of(Glyph.LPAREN, (3, 3)).tolist() == [[1, 1, 1], [1, 0, 1], [1, 1, 1]]
+            assert min_pairwise_hamming((3, 3)) == 0
         finally:
             unregister_table((3, 3))
         with pytest.raises(UnsupportedDimensionsError):
@@ -105,11 +146,17 @@ class TestAlternativeRegistry:
 
     def test_register_validates_dims(self):
         bad = {g: bitmap_of(g) for g in Glyph}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bitmap for lparen is 5x7, not 3x3$"):
             register_table((3, 3), bad)
+        bad = blank_table((3, 3))
+        bad[Glyph.BLANK] = np.zeros(9, dtype=np.uint8)
+        with pytest.raises(ValueError, match="^bitmap for blank is 9, not 3x3$"):
+            register_table((3, 3), bad)
+        with pytest.raises(UnsupportedDimensionsError):
+            glyph_pixels((3, 3))
 
     def test_register_requires_all_glyphs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^table is missing glyphs"):
             register_table((3, 3), {Glyph.BLANK: bitmap_from_art(("...", "...", "..."))})
 
     def test_default_not_removable(self):

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import fast_config, middle_run_bit_flipped
+from conftest import art_pixels, canonical_art, fast_config, middle_run_bit_flipped
 from glyphwave.framing import (
     BitFrame,
     InconsistentFrameError,
@@ -15,7 +15,7 @@ from glyphwave.framing import (
     frame_message,
     read_frame,
 )
-from glyphwave.glyphs import Glyph, bitmap_of, glyph_sequence, registry_for
+from glyphwave.glyphs import Glyph, bitmap_of, glyph_sequence
 from glyphwave.modem import (
     AmbiguousPauseError,
     DesyncError,
@@ -66,20 +66,21 @@ def convolve_apply_channel(wave, ch):
     return out + rng.normal(0.0, sigma, len(out))
 
 
-def one_glyph_recognizer(bits, dims=(5, 7)):
-    """Reference: nearest glyph of one payload, a tie raising."""
-    table = registry_for(dims)
-    pixels = np.array([bm.pixels for bm in table.values()], dtype=np.uint8)
+def one_glyph_recognizer(bits):
+    """Reference: nearest canonical glyph of one payload, a tie raising;
+    the glyphs' pixels are read from their arts, one glyph at a time."""
+    arts = canonical_art()
+    pixels = np.array([art_pixels(art).reshape(-1) for art in arts.values()])
     dist = (pixels != np.asarray(bits)).sum(axis=1)
     best, second = np.argsort(dist, kind="stable")[:2]
     if dist[best] == dist[second]:
         raise AmbiguousGlyphError(f"payload is {dist[best]} flips from two glyphs")
-    return list(table)[best], int(dist[best]), int(dist[second])
+    return list(arts)[best], int(dist[best]), int(dist[second])
 
 
 def payload_of(g: Glyph) -> tuple[int, ...]:
     """The 35 row-major bits of a canonical glyph, 1 = black."""
-    return tuple(map(int, bitmap_of(g).pixels))
+    return tuple(bitmap_of(g).reshape(-1).tolist())
 
 
 def halfway(a: Glyph, b: Glyph) -> tuple[int, ...]:
@@ -196,6 +197,17 @@ class TestChannel:
     def test_finite_extremes_are_accepted(self):
         ch = ChannelConfig(snr_db=-40.0, gain=1e-6)
         assert (ch.snr_db, ch.gain) == (-40.0, 1e-6)
+
+    @pytest.mark.parametrize("gain", [1e200, 1e-300])
+    def test_extreme_gain_keeps_the_set_snr(self, gain):
+        # The signal's squares overflow at 1e200 and underflow at 1e-300.
+        wave = transmit("em", fast_config("psk"), repetition=1)
+        out = apply_channel(wave, ChannelConfig(snr_db=10.0, gain=gain, seed=3)).samples
+        assert np.isfinite(out).all()
+        active = wave.samples != 0
+        noise = (out - gain * wave.samples)[active] / gain
+        rms = np.sqrt(np.mean(wave.samples[active] ** 2))
+        assert abs(20 * np.log10(rms / np.sqrt(np.mean(noise**2))) - 10) < 1.0
 
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     def test_overflowing_gain_is_refused(self, snr_db):

@@ -1,11 +1,11 @@
 """The transmit path against the per-glyph path it replaced, and registry changes.
 
 The package frames a message from rows gathered out of the registry's
-pixel matrix and modulates with one np.take of chunk rows. The reference
-looks each glyph's bitmap up in the registry table, stacks the pixels into
-one (n_glyphs, height, width) array to frame, and gathers the chunk rows
-by fancy indexing. Frames and samples must be bitwise equal, the sign of
-zero included.
+pixel array and modulates with one np.take of chunk rows. The reference
+reads each glyph's pixels from its art, one glyph at a time, stacks them
+into one (n_glyphs, height, width) array to frame, and gathers the chunk
+rows by fancy indexing. Frames and samples must be bitwise equal, the sign
+of zero included.
 
 Frames and waveforms the package builds itself skip the checks of the
 BitFrame and Waveform constructors; they must equal what those checks
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fast_config
+from conftest import art_pixels, canonical_art, fast_config
 from glyphwave.framing import BitFrame, frame_message, frame_to_text
 from glyphwave.glyphs import (
     Glyph,
@@ -28,7 +28,6 @@ from glyphwave.glyphs import (
     bitmap_of,
     glyph_pixels,
     register_table,
-    registry_for,
     unregister_table,
 )
 from glyphwave.modem import ModemConfig, Waveform, _bit_tables, demodulate, modulate
@@ -37,12 +36,31 @@ from glyphwave.pipeline import message_frame, message_glyphs, recognize_glyphs
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# Eight distinct 3x3 arts in tuple(Glyph) order; blank stays all white.
+ARTS_3X3 = dict(
+    zip(
+        Glyph,
+        (
+            ("#..", "#..", "#.."),
+            ("..#", "..#", "..#"),
+            (".#.", "###", ".#."),
+            (".#.", ".#.", "###"),
+            ("...", ".#.", "..."),
+            ("#.#", ".#.", "..."),
+            ("...", ".#.", "#.#"),
+            ("...", "...", "..."),
+        ),
+    )
+)
 
-def reference_frame(msg, repetition, dims=(5, 7)):
-    """Frame a message from its glyphs' bitmaps, looked up one by one."""
-    width, height = dims
-    pixels = np.array([bitmap_of(g, dims).pixels for g in message_glyphs(msg)], dtype=np.uint8)
-    return frame_message(pixels.reshape(-1, height, width), repetition, dims)
+
+def reference_frame(msg, repetition, arts=None):
+    """Frame a message from its glyphs' arts (the canonical 5x7 ones by
+    default), each read into pixels on its own."""
+    arts = arts or canonical_art()
+    pixels = np.array([art_pixels(arts[g]) for g in message_glyphs(msg)])
+    height, width = pixels.shape[1:]
+    return frame_message(pixels, repetition, (width, height))
 
 
 def reference_modulate(frame, cfg):
@@ -128,26 +146,14 @@ class TestReferencePath:
             assert_same_samples(got, reference_modulate(frame, cfg))
 
     def test_registered_three_by_three_table(self):
-        # Eight distinct 3x3 bitmaps; blank stays all white.
-        arts = (
-            ("#..", "#..", "#.."),
-            ("..#", "..#", "..#"),
-            (".#.", "###", ".#."),
-            (".#.", ".#.", "###"),
-            ("...", ".#.", "..."),
-            ("#.#", ".#.", "..."),
-            ("...", ".#.", "#.#"),
-            ("...", "...", "..."),
-        )
-        table = {g: bitmap_from_art(art) for g, art in zip(Glyph, arts)}
-        register_table((3, 3), table)
+        register_table((3, 3), {g: bitmap_from_art(art) for g, art in ARTS_3X3.items()})
         try:
             rng = np.random.default_rng(33)
             for i in range(60):
                 msg = random_message(rng, 3)
                 rep = 1 + i % 3
                 frame = message_frame(msg, rep, dims=(3, 3))
-                assert frame == reference_frame(msg, rep, (3, 3)), i
+                assert frame == reference_frame(msg, rep, ARTS_3X3), i
                 cfg = CONFIGS[3 + i % 6]  # the dense and fast configs
                 assert_same_samples(modulate(frame, cfg), reference_modulate(frame, cfg))
         finally:
@@ -168,7 +174,7 @@ def assert_as_if_checked(frame):
 class TestBuiltUnchecked:
     def test_frames_and_waveforms_equal_their_checked_construction(self):
         rng = np.random.default_rng(1616)
-        pixels = glyph_pixels((5, 7))[1]
+        pixels = glyph_pixels((5, 7))
         for i in range(12):
             msg = random_message(rng, 3)
             for rep in (1, 2, 3):
@@ -190,7 +196,7 @@ class TestRegistryChanges:
     def test_replaced_default_table_reaches_framing_and_recognition(self):
         em = canonical_messages()["em"]
         dot = bitmap_of(Glyph.POINT_DOT)
-        dot_pixels = np.array(dot.pixels, dtype=np.uint8)
+        dot_pixels = dot.reshape(-1)
         register_table((5, 7), {g: dot for g in Glyph})
         try:
             frame = message_frame(em, 1)
@@ -216,10 +222,19 @@ class TestRegistryChanges:
             message_frame(canonical_messages()["em"], 1, dims=(3, 3))
 
     def test_pixel_matrix_is_read_only(self):
-        glyphs, pixels = glyph_pixels((5, 7))
-        assert glyphs == tuple(registry_for((5, 7)))
-        assert pixels.shape == (len(Glyph), 35) and pixels.dtype == np.uint8
-        with pytest.raises(ValueError):
-            pixels[0, 0] = 1
-        with pytest.raises(TypeError):
-            registry_for((5, 7))[Glyph.BLANK] = bitmap_of(Glyph.POINT_DOT)
+        pixels = glyph_pixels((5, 7))
+        assert pixels.shape == (len(Glyph), 7, 5) and pixels.dtype == np.uint8
+        for i, (g, art) in enumerate(canonical_art().items()):
+            assert np.array_equal(pixels[i], art_pixels(art)), g
+        for a in (pixels, bitmap_of(Glyph.BLANK)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+        # The registry keeps its own copy of the caller's bitmaps.
+        table = _build_default_table()
+        register_table((5, 7), table)
+        try:
+            table[Glyph.BLANK][:] = 1
+            assert not bitmap_of(Glyph.BLANK).any()
+        finally:
+            register_table((5, 7), _build_default_table())
