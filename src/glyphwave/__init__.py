@@ -4,12 +4,11 @@ from .framing import (
     BitFrame,
     GridInfo,
     PauseKind,
-    frame_from_text,
     frame_message,
     frame_to_text,
     majority_vote,
 )
-from .glyphs import DEFAULT_DIMS, Glyph, bitmap_of, glyph_sequence, min_pairwise_hamming
+from .glyphs import DEFAULT_DIMS, Glyph, bitmap_of, glyph_sequence
 from .modem import ModemConfig, Waveform, demodulate, load_config, modulate, read_wav, save_config, write_wav
 from .notation import Message, SymbolKind, SymbolSpec, canonical_messages, parse_dsl, print_dsl
 from .pipeline import (
@@ -20,7 +19,6 @@ from .pipeline import (
     message_glyphs,
     parse_glyphs_to_message,
     receive,
-    recognize_glyph,
     transmit,
 )
 from .raster import compose_strip, export_pbm

@@ -9,15 +9,15 @@ any code overhead in the payload itself.
 
 A frame is held only as three arrays (see BitFrame), and frame_message
 takes glyph pixels only as one (n_glyphs, height, width) array. A BitFrame
-built directly, or parsed by frame_from_text, checks its arrays.
-frame_message checks only the caller's pixels (0 or 1), since the runs,
-lengths and pause kinds it derives from them are valid by construction.
+built directly checks its arrays. frame_message checks only the caller's
+pixels (0 or 1), since the runs, lengths and pause kinds it derives from
+them are valid by construction. The text dump is only written
+(frame_to_text); nothing in the package reads one back.
 """
 
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -235,21 +235,3 @@ def frame_to_text(frame: BitFrame) -> str:
     # A pause of kind k (in tuple(PauseKind) order) is k + 1 slashes.
     pauses = ["/" * (k + 1) for k in frame.pause_kinds.tolist()] + [""]
     return "".join(r.tobytes().decode() + p for r, p in zip(runs, pauses))
-
-
-def frame_from_text(text: str) -> BitFrame:
-    """Parse a frame_to_text dump back into a BitFrame."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty frame dump")
-    bad = re.search(r"[^01/]|/{4,}", text)
-    if bad:
-        what = "bad pause marker" if bad.group()[0] == "/" else "unexpected character"
-        raise ValueError(f"{what} {bad.group()!r} at offset {bad.start()}")
-    if text[0] == "/" or text[-1] == "/":
-        raise InconsistentFrameError("frame must start and end with a run")
-    runs = re.split("/+", text)
-    bits = np.frombuffer("".join(runs).encode(), dtype=np.uint8) - ord("0")
-    # One to three slashes mark the kinds in tuple(PauseKind) order.
-    kinds = [len(p) - 1 for p in re.findall("/+", text)]
-    return BitFrame(bits, [len(r) for r in runs], kinds)

@@ -163,12 +163,6 @@ def register_table(dims: tuple[int, int], table: Mapping[Glyph, np.typing.ArrayL
     _REGISTRIES[tuple(dims)] = _registry(dims, table)
 
 
-def unregister_table(dims: tuple[int, int]) -> None:
-    if dims == DEFAULT_DIMS:
-        raise ValueError("the default registry cannot be removed")
-    _REGISTRIES.pop(dims, None)
-
-
 def glyph_pixels(dims: tuple[int, int]) -> np.ndarray:
     """The registry at dims: a read-only (len(Glyph), height, width) uint8
     array whose row i is the bitmap of tuple(Glyph)[i], 1 = black."""
@@ -181,13 +175,6 @@ def glyph_pixels(dims: tuple[int, int]) -> np.ndarray:
 def bitmap_of(glyph: Glyph, dims: tuple[int, int] = DEFAULT_DIMS) -> np.ndarray:
     """Canonical (height, width) bitmap of one glyph at dims, read-only."""
     return glyph_pixels(dims)[tuple(Glyph).index(glyph)]
-
-
-def min_pairwise_hamming(dims: tuple[int, int] = DEFAULT_DIMS) -> int:
-    """Smallest Hamming distance over all unordered glyph pairs at dims."""
-    flat = glyph_pixels(dims).reshape(len(Glyph), -1)
-    dist = (flat[:, None] != flat).sum(axis=2)
-    return int(dist[np.triu_indices(len(Glyph), 1)].min())
 
 
 def glyph_sequence(spec: SymbolSpec) -> list[Glyph]:

@@ -143,19 +143,6 @@ def recognize_glyphs(
     return matches, failures
 
 
-def recognize_glyph(
-    bits: tuple[int, ...], dims: tuple[int, int] = DEFAULT_DIMS
-) -> tuple[Glyph, int, int]:
-    """Nearest canonical glyph by Hamming distance, with the runner-up.
-
-    A tie for nearest raises AmbiguousGlyphError rather than guessing.
-    """
-    matches, failures = recognize_glyphs(np.asarray(bits).reshape(1, -1), dims)
-    if failures:
-        raise failures[0][1]
-    return matches[0]
-
-
 # The fixed patterns, in the precedence they take over a bracket group.
 _PATTERNS = tuple((tuple(glyph_sequence(spec)), spec) for spec in (SPACETIME, MAXWELL))
 _BRACKETS = (Glyph.LPAREN, Glyph.BLANK, Glyph.RPAREN)

@@ -3,8 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from glyphwave.framing import BitFrame, NonPrimeDimensionsError, PauseKind, frame_to_text
-from glyphwave.glyphs import _ART_5X7, Glyph
+from glyphwave import glyphs
+from glyphwave.framing import (
+    BitFrame,
+    InconsistentFrameError,
+    NonPrimeDimensionsError,
+    PauseKind,
+    frame_to_text,
+)
+from glyphwave.glyphs import _ART_5X7, DEFAULT_DIMS, Glyph, glyph_pixels
 from glyphwave.modem import ModemConfig
 
 
@@ -46,6 +53,13 @@ def prime_pair_factorization(n: int) -> tuple[int, int]:
     return (factors[0], factors[1])
 
 
+def min_pairwise_hamming(dims: tuple[int, int] = DEFAULT_DIMS) -> int:
+    """Smallest Hamming distance over all unordered glyph pairs at dims."""
+    flat = glyph_pixels(dims).reshape(len(Glyph), -1)
+    dist = (flat[:, None] != flat).sum(axis=2)
+    return int(dist[np.triu_indices(len(Glyph), 1)].min())
+
+
 def art_pixels(art: tuple[str, ...]) -> np.ndarray:
     """The (height, width) uint8 pixels of rows of '#' (black) and '.'
     (white), read character by character."""
@@ -72,11 +86,36 @@ def frame_elements(frame: BitFrame) -> list:
     ]
 
 
+def frame_from_text(text: str) -> BitFrame:
+    """Parse a frame_to_text dump back into a BitFrame."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty frame dump")
+    bad = re.search(r"[^01/]|/{4,}", text)
+    if bad:
+        what = "bad pause marker" if bad.group()[0] == "/" else "unexpected character"
+        raise ValueError(f"{what} {bad.group()!r} at offset {bad.start()}")
+    if text[0] == "/" or text[-1] == "/":
+        raise InconsistentFrameError("frame must start and end with a run")
+    runs = re.split("/+", text)
+    bits = np.frombuffer("".join(runs).encode(), dtype=np.uint8) - ord("0")
+    # One to three slashes mark the kinds in tuple(PauseKind) order.
+    kinds = [len(p) - 1 for p in re.findall("/+", text)]
+    return BitFrame(bits, [len(r) for r in runs], kinds)
+
+
 def middle_run_bit_flipped(frame: BitFrame, offset: int) -> BitFrame:
     """The frame with bit `offset` of its middle run inverted."""
     bits = frame.bits.copy()
     bits[frame.run_lengths[: len(frame.run_lengths) // 2].sum() + offset] ^= 1
     return BitFrame(bits, frame.run_lengths, frame.pause_kinds)
+
+
+@pytest.fixture
+def registries(monkeypatch):
+    """A test's own copy of the glyph registries, so the registries it
+    installs or replaces with register_table go when it ends."""
+    monkeypatch.setattr(glyphs, "_REGISTRIES", dict(glyphs._REGISTRIES))
 
 
 @pytest.fixture

@@ -16,11 +16,12 @@ from conftest import (
     canonical_art,
     fast_config,
     frame_elements,
+    min_pairwise_hamming,
     prime_pair_factorization,
     random_glyph_bits,
 )
 from glyphwave.framing import PauseKind, frame_message, majority_vote, read_frame
-from glyphwave.glyphs import DEFAULT_DIMS, Glyph, bitmap_of, min_pairwise_hamming
+from glyphwave.glyphs import DEFAULT_DIMS, Glyph, bitmap_of
 from glyphwave.modem import ModemConfig, modulate, read_wav, write_wav
 from glyphwave.notation import (
     MAXWELL,
@@ -37,7 +38,7 @@ from glyphwave.pipeline import (
     message_frame,
     message_glyphs,
     receive,
-    recognize_glyph,
+    recognize_glyphs,
     transmit,
 )
 from glyphwave.raster import compose_strip, export_pbm
@@ -143,7 +144,8 @@ def test_criterion_4_glyph_robustness():
             for pos in range(35):
                 flipped = clean.copy()
                 flipped[pos] ^= 1
-                found, dist, runner = recognize_glyph(flipped)
+                [(found, dist, runner)], failures = recognize_glyphs(flipped[None])
+                assert failures == []
                 assert found is g
                 assert dist <= 1 <= runner
                 cases += 1

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import fast_config, frame_elements, prime_pair_factorization, random_glyph_bits
+from conftest import (
+    fast_config,
+    frame_elements,
+    frame_from_text,
+    prime_pair_factorization,
+    random_glyph_bits,
+)
 from glyphwave.framing import (
     BitFrame,
     DimensionMismatchError,
@@ -11,7 +17,6 @@ from glyphwave.framing import (
     NonPrimeDimensionsError,
     PauseKind,
     RepetitionMismatchError,
-    frame_from_text,
     frame_message,
     frame_to_text,
     majority_vote,

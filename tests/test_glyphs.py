@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import art_pixels, canonical_art
+from conftest import art_pixels, canonical_art, min_pairwise_hamming
 from glyphwave.glyphs import (
     DEFAULT_DIMS,
     Glyph,
@@ -14,9 +14,7 @@ from glyphwave.glyphs import (
     glyph_pixels,
     glyph_sequence,
     is_prime,
-    min_pairwise_hamming,
     register_table,
-    unregister_table,
 )
 from glyphwave.notation import MAXWELL, SPACETIME, affinity, tensor
 
@@ -67,17 +65,14 @@ class TestBitmaps:
             with pytest.raises(ValueError, match="^grid sides must be at least 3$"):
                 register_table(side, blank_table(side))
 
-    def test_non_zero_pixel_reads_as_black(self):
+    def test_non_zero_pixel_reads_as_black(self, registries):
         table = blank_table((3, 3))
         table[Glyph.POINT_DOT] = [[0, 0, 0], [0, 2, 0], [0, 0, 0]]
         table[Glyph.LPAREN] = np.full((3, 3), -1.5)
         register_table((3, 3), table)
-        try:
-            assert bitmap_of(Glyph.POINT_DOT, (3, 3)).tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
-            assert bitmap_of(Glyph.LPAREN, (3, 3)).tolist() == [[1] * 3] * 3
-            assert glyph_pixels((3, 3)).dtype == np.uint8
-        finally:
-            unregister_table((3, 3))
+        assert bitmap_of(Glyph.POINT_DOT, (3, 3)).tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+        assert bitmap_of(Glyph.LPAREN, (3, 3)).tolist() == [[1] * 3] * 3
+        assert glyph_pixels((3, 3)).dtype == np.uint8
 
     def test_results_are_read_only(self):
         pixels = glyph_pixels(DEFAULT_DIMS)
@@ -113,14 +108,12 @@ class TestDistances:
             bm = bitmap_of(g)
             assert (blank != bm).sum() == bm.sum() == "".join(art).count("#"), g
 
-    def test_degenerate_registry_reports_zero(self):
+    def test_degenerate_registry_reports_zero(self, registries):
         dot = bitmap_of(Glyph.POINT_DOT)
         table = {g: dot for g in Glyph}
         register_table((5, 7), table)
-        try:
-            assert min_pairwise_hamming((5, 7)) == 0
-        finally:
-            register_table((5, 7), _build_default_table())
+        assert min_pairwise_hamming((5, 7)) == 0
+        register_table((5, 7), _build_default_table())
         assert min_pairwise_hamming((5, 7)) >= 3
 
     def test_unsupported_dims(self):
@@ -131,18 +124,15 @@ class TestDistances:
 
 
 class TestAlternativeRegistry:
-    def test_register_and_use(self):
+    def test_register_and_use(self, registries):
+        with pytest.raises(UnsupportedDimensionsError):
+            bitmap_of(Glyph.BLANK, (3, 3))
         art3 = {g: bitmap_from_art(("###", "#.#", "###")) for g in Glyph}
         art3[Glyph.BLANK] = bitmap_from_art(("...", "...", "..."))
         register_table((3, 3), art3)
-        try:
-            assert bitmap_of(Glyph.BLANK, (3, 3)).tolist() == [[0] * 3] * 3
-            assert bitmap_of(Glyph.LPAREN, (3, 3)).tolist() == [[1, 1, 1], [1, 0, 1], [1, 1, 1]]
-            assert min_pairwise_hamming((3, 3)) == 0
-        finally:
-            unregister_table((3, 3))
-        with pytest.raises(UnsupportedDimensionsError):
-            bitmap_of(Glyph.BLANK, (3, 3))
+        assert bitmap_of(Glyph.BLANK, (3, 3)).tolist() == [[0] * 3] * 3
+        assert bitmap_of(Glyph.LPAREN, (3, 3)).tolist() == [[1, 1, 1], [1, 0, 1], [1, 1, 1]]
+        assert min_pairwise_hamming((3, 3)) == 0
 
     def test_register_validates_dims(self):
         bad = {g: bitmap_of(g) for g in Glyph}
@@ -159,9 +149,9 @@ class TestAlternativeRegistry:
         with pytest.raises(ValueError, match="^table is missing glyphs"):
             register_table((3, 3), {Glyph.BLANK: bitmap_from_art(("...", "...", "..."))})
 
-    def test_default_not_removable(self):
-        with pytest.raises(ValueError):
-            unregister_table(DEFAULT_DIMS)
+    def test_list_dims_reach_the_tuple_keyed_registry(self, registries):
+        register_table([3, 3], blank_table((3, 3)))
+        assert glyph_pixels([3, 3]) is glyph_pixels((3, 3))
 
 
 class TestSequences:

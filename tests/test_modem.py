@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fast_config, frame_elements, random_glyph_bits
+from conftest import fast_config, frame_elements, frame_from_text, random_glyph_bits
 from glyphwave.framing import (
     BitFrame,
     GridInfo,
     PauseKind,
-    frame_from_text,
     frame_message,
     read_frame,
 )

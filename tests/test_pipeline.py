@@ -47,7 +47,6 @@ from glyphwave.pipeline import (
     message_glyphs,
     parse_glyphs_to_message,
     receive,
-    recognize_glyph,
     recognize_glyphs,
     transmit,
 )
@@ -81,6 +80,11 @@ def one_glyph_recognizer(bits):
 def payload_of(g: Glyph) -> tuple[int, ...]:
     """The 35 row-major bits of a canonical glyph, 1 = black."""
     return tuple(bitmap_of(g).reshape(-1).tolist())
+
+
+def recognize_row(bits):
+    """recognize_glyphs on a payload of one row."""
+    return recognize_glyphs(np.array([bits], dtype=np.uint8))
 
 
 def halfway(a: Glyph, b: Glyph) -> tuple[int, ...]:
@@ -222,19 +226,22 @@ class TestChannel:
 class TestRecognize:
     def test_exact_match_every_glyph(self):
         for g in Glyph:
-            found, dist, runner = recognize_glyph(payload_of(g))
+            [(found, dist, runner)], failures = recognize_row(payload_of(g))
+            assert failures == []
             assert found is g
             assert dist == 0
             assert runner >= 3
 
     def test_blank_payload(self):
-        found, dist, runner = recognize_glyph((0,) * 35)
+        [(found, dist, runner)], failures = recognize_row((0,) * 35)
+        assert failures == []
         assert found is Glyph.BLANK and dist == 0 and runner >= 3
 
     def test_single_flip_tolerated(self):
         bits = list(payload_of(Glyph.LPAREN))
         bits[17] ^= 1
-        found, dist, runner = recognize_glyph(tuple(bits))
+        [(found, dist, runner)], failures = recognize_row(bits)
+        assert failures == []
         assert found is Glyph.LPAREN
         assert dist == 1
         assert runner >= 2
@@ -246,8 +253,9 @@ class TestRecognize:
         payload = list(a)
         for i in diff[: len(diff) // 2]:
             payload[i] = b[i]
-        with pytest.raises(AmbiguousGlyphError):
-            recognize_glyph(tuple(payload))
+        matches, [(row, err)] = recognize_row(payload)
+        assert matches == [] and row == 0
+        assert type(err) is AmbiguousGlyphError
 
     def test_batch_matches_one_glyph_recognizer(self, rng):
         glyphs = list(Glyph)
@@ -268,18 +276,18 @@ class TestRecognize:
         assert [(row, str(err)) for row, err in failures] == want_failures
         assert all(type(err) is AmbiguousGlyphError for _, err in failures)
         for bits in batch[:40].tolist():
+            matches, failures = recognize_row(bits)
             try:
                 want = one_glyph_recognizer(bits)
             except AmbiguousGlyphError as err:
-                with pytest.raises(AmbiguousGlyphError) as exc:
-                    recognize_glyph(tuple(bits))
-                assert str(exc.value) == str(err)
+                assert matches == []
+                assert [(row, str(e)) for row, e in failures] == [(0, str(err))]
             else:
-                assert recognize_glyph(tuple(bits)) == want
+                assert matches == [want] and failures == []
 
     def test_length_check(self):
         with pytest.raises(LengthMismatchError):
-            recognize_glyph((0,) * 34)
+            recognize_row((0,) * 34)
 
 
 def assert_rejected(tail, message, offset):

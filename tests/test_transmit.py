@@ -28,7 +28,6 @@ from glyphwave.glyphs import (
     bitmap_of,
     glyph_pixels,
     register_table,
-    unregister_table,
 )
 from glyphwave.modem import ModemConfig, Waveform, _bit_tables, demodulate, modulate
 from glyphwave.notation import MAXWELL, SPACETIME, Message, affinity, canonical_messages, tensor
@@ -145,19 +144,16 @@ class TestReferencePath:
             assert np.signbit(got.samples[got.samples == 0]).any()
             assert_same_samples(got, reference_modulate(frame, cfg))
 
-    def test_registered_three_by_three_table(self):
+    def test_registered_three_by_three_table(self, registries):
         register_table((3, 3), {g: bitmap_from_art(art) for g, art in ARTS_3X3.items()})
-        try:
-            rng = np.random.default_rng(33)
-            for i in range(60):
-                msg = random_message(rng, 3)
-                rep = 1 + i % 3
-                frame = message_frame(msg, rep, dims=(3, 3))
-                assert frame == reference_frame(msg, rep, ARTS_3X3), i
-                cfg = CONFIGS[3 + i % 6]  # the dense and fast configs
-                assert_same_samples(modulate(frame, cfg), reference_modulate(frame, cfg))
-        finally:
-            unregister_table((3, 3))
+        rng = np.random.default_rng(33)
+        for i in range(60):
+            msg = random_message(rng, 3)
+            rep = 1 + i % 3
+            frame = message_frame(msg, rep, dims=(3, 3))
+            assert frame == reference_frame(msg, rep, ARTS_3X3), i
+            cfg = CONFIGS[3 + i % 6]  # the dense and fast configs
+            assert_same_samples(modulate(frame, cfg), reference_modulate(frame, cfg))
 
 
 def assert_as_if_checked(frame):
@@ -193,35 +189,30 @@ class TestBuiltUnchecked:
 
 
 class TestRegistryChanges:
-    def test_replaced_default_table_reaches_framing_and_recognition(self):
+    def test_replaced_default_table_reaches_framing_and_recognition(self, registries):
         em = canonical_messages()["em"]
         dot = bitmap_of(Glyph.POINT_DOT)
         dot_pixels = dot.reshape(-1)
         register_table((5, 7), {g: dot for g in Glyph})
-        try:
-            frame = message_frame(em, 1)
-            assert (frame.bits.reshape(16, 35) == dot_pixels).all()
-            matches, failures = recognize_glyphs(dot_pixels[None], (5, 7))
-            assert matches == []
-            assert [str(err) for _, err in failures] == ["payload is 0 flips from two glyphs"]
-        finally:
-            register_table((5, 7), _build_default_table())
+        frame = message_frame(em, 1)
+        assert (frame.bits.reshape(16, 35) == dot_pixels).all()
+        matches, failures = recognize_glyphs(dot_pixels[None], (5, 7))
+        assert matches == []
+        assert [str(err) for _, err in failures] == ["payload is 0 flips from two glyphs"]
+        register_table((5, 7), _build_default_table())
         golden = (GOLDEN / "em.frame.txt").read_text()
         assert frame_to_text(message_frame(em, 1)) + "\n" == golden
         matches, failures = recognize_glyphs(dot_pixels[None], (5, 7))
         assert matches[0][:2] == (Glyph.POINT_DOT, 0) and not failures
 
-    def test_unregistered_table_cannot_frame(self):
-        blank = bitmap_from_art(("...", "...", "..."))
-        register_table((3, 3), {g: blank for g in Glyph})
-        try:
-            assert not message_frame(canonical_messages()["em"], 1, dims=(3, 3)).bits.any()
-        finally:
-            unregister_table((3, 3))
+    def test_unregistered_table_cannot_frame(self, registries):
         with pytest.raises(UnsupportedDimensionsError, match="^no glyph registry for 3x3$"):
             message_frame(canonical_messages()["em"], 1, dims=(3, 3))
+        blank = bitmap_from_art(("...", "...", "..."))
+        register_table((3, 3), {g: blank for g in Glyph})
+        assert not message_frame(canonical_messages()["em"], 1, dims=(3, 3)).bits.any()
 
-    def test_pixel_matrix_is_read_only(self):
+    def test_pixel_matrix_is_read_only(self, registries):
         pixels = glyph_pixels((5, 7))
         assert pixels.shape == (len(Glyph), 7, 5) and pixels.dtype == np.uint8
         for i, (g, art) in enumerate(canonical_art().items()):
@@ -233,8 +224,5 @@ class TestRegistryChanges:
         # The registry keeps its own copy of the caller's bitmaps.
         table = _build_default_table()
         register_table((5, 7), table)
-        try:
-            table[Glyph.BLANK][:] = 1
-            assert not bitmap_of(Glyph.BLANK).any()
-        finally:
-            register_table((5, 7), _build_default_table())
+        table[Glyph.BLANK][:] = 1
+        assert not bitmap_of(Glyph.BLANK).any()
