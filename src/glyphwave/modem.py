@@ -7,11 +7,14 @@ exact for every scheme.
 
 The receiver decides the whole waveform in one pass and allocates one
 waveform-sized array, the bit-slot matrix. It builds no running energy
-sum over the waveform: the squared samples summed per block give
-the block powers that find every active segment, and short running sums
-in rows around each coarse edge give the short-window and confirm-window
-powers that refine the edge. Then every segment's bit count, every
-silence's pause kind (the nearest configured length within
+sum over the waveform: the squared samples, summed per block by one
+matrix product per chunk, give the block powers that find every active
+segment, and short running sums in rows around each coarse edge give the
+short-window and confirm-window powers that refine the edge. The short
+window is tested across each edge's search window, the confirm window
+only where the short one first holds, and both across the search window
+of an edge whose confirm test fails there. Then every segment's bit
+count, every silence's pause kind (the nearest configured length within
 PAUSE_TOLERANCE) and every bit's matched-filter correlation are decided
 together, the bit slots taken as rows of the waveform itself; the first
 fault in wire order is raised. Two pause kinds a < b cannot tie: a gap
@@ -24,11 +27,13 @@ ambiguity) and that pauses are no shorter than one bit duration, which
 the configuration enforces.
 
 Input is checked where it enters. ModemConfig refuses non-finite tones
-and amplitudes, and a Waveform built from a caller's samples refuses
-non-finite ones. What this module builds itself is not checked again:
-modulate's samples are sines and zeros and read_wav's are int16 PCM over
-full scale, all finite, and demodulate's frame holds one decided bit per
-slot, at least one bit per run and a configured kind per pause.
+and amplitudes, a Waveform built from a caller's samples refuses
+non-finite ones and a rate that is not a positive integer, and read_wav
+refuses a header whose rate is not positive. What this module builds
+itself is not checked again: modulate's samples are sines and zeros and
+read_wav's are int16 PCM over full scale, all finite, and demodulate's
+frame holds one decided bit per slot, at least one bit per run and a
+configured kind per pause.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .framing import BitFrame, PauseKind
 
@@ -151,18 +156,27 @@ class ModemConfig:
 
 @dataclass
 class Waveform:
-    """Sampled real signal; samples are float64, 1-D, finite.
+    """Sampled real signal; samples are float64, 1-D, finite, at a positive
+    integer sample rate.
 
-    Direct construction flattens the samples to float64 and refuses any
-    that are not finite. modulate and read_wav use _trusted and skip the
-    scan, their samples being finite by construction; so does
-    pipeline.apply_channel, after its own check of the output.
+    Direct construction takes the rate through operator.index, refusing
+    one that is not positive, flattens the samples to float64 and refuses
+    any that are not finite. modulate and read_wav use _trusted and skip
+    the checks, their samples being finite by construction and their rate
+    a config's or a checked header's; so does pipeline.apply_channel, after
+    its own check of the output.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
+        try:
+            self.sample_rate = operator.index(self.sample_rate)
+        except TypeError:
+            raise ValueError(f"sample_rate must be an integer, got {self.sample_rate!r}") from None
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform amplitudes must be finite")
@@ -227,7 +241,9 @@ def _rows(samples: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
     if m < width:
         rows = np.empty((len(first), width))
     else:
-        rows = sliding_window_view(samples, width)[np.clip(first, 0, m - width)]
+        (stride,) = samples.strides
+        view = as_strided(samples, (m - width + 1, width), (stride, stride), writeable=False)
+        rows = view[np.clip(first, 0, m - width)]
     past = (first < 0) | (first > m - width)
     for r, f in zip(np.flatnonzero(past).tolist(), first[past].tolist()):
         a, b = (min(max(v, 0), m) for v in (f, f + width))
@@ -251,6 +267,26 @@ def _cum_rows(samples: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
     return np.cumsum(rows, axis=1, out=rows)
 
 
+def _first_hot(
+    short: np.ndarray, confirm: typing.Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first column where short holds and confirm(rows, columns)
+    is true as well, and whether the row has one.
+
+    confirm is computed only at each row's first short hit, except in the
+    rows where it fails there; those rows are tested at every column.
+    """
+    rows = np.arange(len(short))
+    i = short.argmax(axis=1)
+    hit = short[rows, i]
+    redo = np.flatnonzero(hit & ~confirm(rows, i))
+    if len(redo):
+        both = short[redo] & confirm(redo[:, None], np.arange(short.shape[1]))
+        i[redo] = both.argmax(axis=1)
+        hit[redo] = both[np.arange(len(redo)), i[redo]]
+    return i, hit
+
+
 def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Coarse power-threshold segmentation with sample-level edge refinement.
 
@@ -262,10 +298,11 @@ def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray,
     # edge refinement behaves the same at its ends as between runs;
     # otherwise the recentered slot grid of a boundary run shifts by half
     # the overshoot and rotates the carrier phase under the correlators.
-    # Block energies are squares summed per block, and the edge windows
-    # come from short running sums in rows around each coarse edge: a
-    # running sum over the whole waveform costs about 2.5 times as much per
-    # sample as the per-block sums.
+    # Block energies are squares summed per block, by a matrix product
+    # with a column of ones, and the edge windows come from short running
+    # sums in rows around each coarse edge: a running sum over the whole
+    # waveform costs about 2.5 times as much per sample as the per-block
+    # sums.
     w = max(8, cfg.bit_duration // 2)
     sw = max(2, cfg.bit_duration // 24)
     cw = max(sw, cfg.bit_duration // 4)
@@ -277,15 +314,21 @@ def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray,
     # (2 MB): a whole fast-config message, a quarter of a default-config
     # one. The buffer keeps that size for shorter waveforms: pages it never
     # writes cost nothing, and sizing it to the waveform measured slower on
-    # short messages.
+    # short messages. It stays although the sums need no buffer (an einsum
+    # over the samples): without it, or at 256 KB, the benchmark's
+    # dense-clean loop went from about 15 to about 300 minor page faults
+    # per message and its encode time rose 30-40 percent, which fits
+    # glibc's allocator raising its mmap threshold once a freed 2 MB block
+    # is released (see CHANGES.md).
     step = w * max(1, 2**18 // w)
     buf = np.empty(step)
+    ones = np.ones(w)
     block_e = np.zeros(len(bounds) - 1)
     whole = m - m % w
     for c in range(0, whole, step):
         k = min(step, whole - c)
         np.square(samples[c : c + k], out=buf[:k])
-        block_e[1 + c // w : 1 + (c + k) // w] = buf[:k].reshape(-1, w).sum(axis=1)
+        np.matmul(buf[:k].reshape(-1, w), ones, out=block_e[1 + c // w : 1 + (c + k) // w])
     np.square(samples[whole:], out=buf[: m - whole])
     block_e[1 + whole // w] = buf[: m - whole].sum()  # the partial last block
     block_p = block_e / np.diff(bounds)
@@ -308,24 +351,31 @@ def _active_segments(samples: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray,
     # edge's search window: [s - w, s + w) for the first sample where both
     # windows starting there are hot, [e - w, e + w] for the last where both
     # windows ending there are. Each edge gets one row of running sums from
-    # the first sample its windows read: s - w, or e - w - cw. An edge whose
+    # the first sample its windows read: s - w, or e - w - cw. The short
+    # window is tested across the row and the confirm window only at the
+    # short window's first hit (the last, for a stop); an edge whose confirm
+    # test fails there is tested in both windows across its row
+    # (_first_hot). The tests are the same expressions as over whole
+    # matrices, so the edges are the same to the sample. An edge whose
     # search window holds no hot sample keeps its coarse position.
     s, e = bounds[edges == 1], bounds[edges == -1]
-    rows = np.arange(len(s))
     near = _cum_rows(samples, s - w, 2 * w + cw)  # near[:, a] sums [s - w, s - w + a)
-    at = near[:, : 2 * w]
-    first = ((near[:, sw : sw + 2 * w] - at) / sw > thr_p) & (
-        (near[:, cw : cw + 2 * w] - at) / cw > thr_p
+    short = near[:, sw : sw + 2 * w] - near[:, : 2 * w]
+    short /= sw
+    i, hit = _first_hot(
+        short > thr_p, lambda r, a: (near[r, cw + a] - near[r, a]) / cw > thr_p
     )
-    i = first.argmax(axis=1)
-    starts = np.where(first[rows, i], s - w + i, s)
+    starts = np.where(hit, s - w + i, s)
     near = _cum_rows(samples, e - w - cw, 2 * w + cw + 1)
     at = near[:, cw:]  # at[:, b] sums [e - w - cw, e - w + b)
-    last = ((at - near[:, cw - sw : cw - sw + 2 * w + 1]) / sw > thr_p) & (
-        (at - near[:, : 2 * w + 1]) / cw > thr_p
+    short = at - near[:, cw - sw : cw - sw + 2 * w + 1]
+    short /= sw
+    # Column j of the reversed rows is b = 2 w - j, the window ending at e + w - j.
+    j, hit = _first_hot(
+        (short > thr_p)[:, ::-1],
+        lambda r, j: (at[r, 2 * w - j] - near[r, 2 * w - j]) / cw > thr_p,
     )
-    j = last[:, ::-1].argmax(axis=1)
-    stops = np.where(last[rows, 2 * w - j], e + w - j, e)
+    stops = np.where(hit, e + w - j, e)
     keep = stops - starts >= cfg.bit_duration // 2
     return starts[keep], stops[keep]
 
@@ -404,8 +454,7 @@ def demodulate(wave: Waveform, cfg: ModemConfig) -> BitFrame:
 
     t = np.arange(bd) / cfg.sample_rate
     if cfg.scheme == "ask":
-        np.square(slots, out=slots)
-        bits = np.mean(slots, axis=1) > (cfg.amp0**2 + cfg.amp1**2) / 4
+        bits = np.einsum("ij,ij->i", slots, slots) / bd > (cfg.amp0**2 + cfg.amp1**2) / 4
     elif cfg.scheme == "fsk":
         mags = []
         for f in (cfg.freq0_hz, cfg.freq1_hz):
@@ -441,7 +490,8 @@ def write_wav(path: str | Path, wave: Waveform) -> None:
 
 
 def read_wav(path: str | Path) -> Waveform:
-    """Read mono 16-bit PCM; an unreadable or truncated WAV file is a ValueError."""
+    """Read mono 16-bit PCM; an unreadable or truncated WAV file, or one
+    whose header gives no positive sample rate, is a ValueError."""
     import wave as wave_mod
 
     try:
@@ -449,13 +499,15 @@ def read_wav(path: str | Path) -> Waveform:
             if f.getnchannels() != 1 or f.getsampwidth() != 2:
                 raise ValueError("expected mono 16-bit PCM")
             rate = f.getframerate()
+            if rate <= 0:
+                raise wave_mod.Error(f"sample rate {rate} Hz is not positive")
             raw = f.readframes(f.getnframes())
     except (EOFError, wave_mod.Error) as err:
         detail = str(err) or "file ends early"
         raise ValueError(f"cannot read {path} as a WAV file: {detail}") from err
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     samples /= FULL_SCALE
-    return Waveform._trusted(samples, rate)  # int16 over full scale is finite
+    return Waveform._trusted(samples, rate)  # int16 over full scale is finite; rate > 0
 
 
 # The config file's keys and value types, in declaration order.

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -29,6 +30,14 @@ def fast_config(scheme: str = "fsk", **overrides) -> ModemConfig:
     )
     params.update(overrides)
     return ModemConfig(**params)
+
+
+def pcm_wav_bytes(rate: int, pcm: bytes = bytes(4)) -> bytes:
+    """A mono 16-bit PCM WAV file built by hand, so that its header may
+    give a sample rate the wave module would refuse to write."""
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(pcm))
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks) + len(pcm)) + b"WAVE" + chunks + pcm
 
 
 def random_glyph_bits(rng: np.random.Generator, dims=(5, 7)) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 
 import glyphwave
 
-from conftest import fast_config, middle_run_bit_flipped
+from conftest import fast_config, middle_run_bit_flipped, pcm_wav_bytes
 from glyphwave.cli import main
 from glyphwave.framing import frame_message, frame_to_text
 from glyphwave.modem import ModemConfig, Waveform, modulate, read_wav, save_config, write_wav
@@ -121,8 +121,12 @@ def test_receive_rejects_other_sample_rate(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content, detail",
-    [(b"", "file ends early"), (b"not a riff header\n", "file does not start with RIFF id")],
-    ids=["empty", "not-riff"],
+    [
+        (b"", "file ends early"),
+        (b"not a riff header\n", "file does not start with RIFF id"),
+        (pcm_wav_bytes(0), "sample rate 0 Hz is not positive"),
+    ],
+    ids=["empty", "not-riff", "zero-rate"],
 )
 def test_unreadable_wav_is_reported(tmp_path, capsys, content, detail):
     wav = tmp_path / "bad.wav"
@@ -132,6 +136,7 @@ def test_unreadable_wav_is_reported(tmp_path, capsys, content, detail):
     assert capsys.readouterr().err == f"decode failed: {reason}"
     assert main(["channel", str(wav), "--snr", "10", "--out", str(tmp_path / "out.wav")]) == 1
     assert capsys.readouterr().err == f"error: {reason}"
+    assert not (tmp_path / "out.wav").exists()
 
 
 def test_channel_on_short_wav(tmp_path, capsys):
@@ -199,13 +204,23 @@ def test_selftest(capsys):
         ["transmit", "em", "--config", "missing.cfg", "--out", "x.wav"],
         ["transmit", "em", "--out", "no/such/x.wav"],
         ["receive", "msg.wav", "--report", "no/such/r.txt"],
+        ["channel", "rate0.wav", "--snr", "10", "--out", "n.wav"],
     ],
-    ids=["missing-wav", "directory", "encode-out", "missing-config", "transmit-out", "report"],
+    ids=[
+        "missing-wav",
+        "directory",
+        "encode-out",
+        "missing-config",
+        "transmit-out",
+        "report",
+        "zero-rate",
+    ],
 )
 def test_file_errors_are_one_line(tmp_path, args):
     # A real process, so that anything printed past main's return (such as
     # a half-built WAV writer complaining at exit) shows on stderr too.
     write_wav(tmp_path / "msg.wav", transmit("em", ModemConfig(), repetition=1))
+    (tmp_path / "rate0.wav").write_bytes(pcm_wav_bytes(0))
     src = str(Path(glyphwave.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(

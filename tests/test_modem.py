@@ -1,11 +1,18 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import fast_config, frame_elements, frame_from_text, random_glyph_bits
+from conftest import (
+    fast_config,
+    frame_elements,
+    frame_from_text,
+    pcm_wav_bytes,
+    random_glyph_bits,
+)
 from glyphwave.framing import (
     BitFrame,
     GridInfo,
@@ -25,6 +32,8 @@ from glyphwave.modem import (
     Waveform,
     _active_segments,
     _bit_tables,
+    _cum_rows,
+    _first_hot,
     demodulate,
     load_config,
     modulate,
@@ -288,6 +297,49 @@ def energy_cumsum(x):
     return np.concatenate([[0.0], np.cumsum(x * x)])
 
 
+def matrix_active_segments(samples, cfg):
+    """Reference: the edge search over whole matrices, testing both windows
+    at every column of every edge's search window. Returns the starts and
+    stops, and each side's short-window and confirm-window masks with
+    their columns in search order (the stop side's reversed)."""
+    w = max(8, cfg.bit_duration // 2)
+    sw = max(2, cfg.bit_duration // 24)
+    cw = max(sw, cfg.bit_duration // 4)
+    m = len(samples)
+    bounds = np.append(np.arange(-w, m + w, w), m + w)
+    block_e = np.zeros(len(bounds) - 1)
+    whole = m - m % w
+    block_e[1 : 1 + whole // w] = np.square(samples[:whole]).reshape(-1, w).sum(axis=1)
+    block_e[1 + whole // w] = np.square(samples[whole:]).sum()
+    block_p = block_e / np.diff(bounds)
+    floor_p = (cfg.peak_amplitude / 20) ** 2
+    thr_p = floor_p
+    lo, hi = np.percentile(block_p, [5, 90]).tolist()
+    if hi > 0 and lo < hi / 4:
+        thr_p = max(floor_p, math.sqrt(max(lo, 0.0) * hi))
+    edges = np.diff(np.concatenate(([0], (block_p > thr_p).astype(np.int8), [0])))
+    s, e = bounds[edges == 1], bounds[edges == -1]
+    rows = np.arange(len(s))
+    near = _cum_rows(samples, s - w, 2 * w + cw)
+    at = near[:, : 2 * w]
+    short = (near[:, sw : sw + 2 * w] - at) / sw > thr_p
+    confirm = (near[:, cw : cw + 2 * w] - at) / cw > thr_p
+    first = short & confirm
+    i = first.argmax(axis=1)
+    starts = np.where(first[rows, i], s - w + i, s)
+    masks = [(short, confirm)]
+    near = _cum_rows(samples, e - w - cw, 2 * w + cw + 1)
+    at = near[:, cw:]
+    short = ((at - near[:, cw - sw : cw - sw + 2 * w + 1]) / sw > thr_p)[:, ::-1]
+    confirm = ((at - near[:, : 2 * w + 1]) / cw > thr_p)[:, ::-1]
+    last = short & confirm
+    j = last.argmax(axis=1)
+    stops = np.where(last[rows, j], e + w - j, e)
+    masks.append((short, confirm))
+    keep = stops - starts >= cfg.bit_duration // 2
+    return starts[keep], stops[keep], masks
+
+
 def reference_demodulate(wave, cfg):
     """Reference: demodulate over whole-waveform temporaries, the padded
     copy of the samples and an index matrix of every bit slot."""
@@ -400,6 +452,52 @@ class TestDemodulate:
                 got = _active_segments(x, cfg)
                 assert len(got[0]) == len(got[1]) == 0
         assert clipped >= 48
+
+    def test_edge_search_matches_whole_matrix_reference(self, rng):
+        # seeded noisy messages with a click, for the configs whose confirm
+        # window is longer than the short one and the dense one, where the
+        # two are the same length
+        redone = tested = 0
+        for make in (fast_config, dense_config, ModemConfig):
+            for scheme in SCHEMES:
+                cfg = make(scheme)
+                bd = cfg.bit_duration
+                for _ in range(2 if bd == 480 else 8):
+                    glyphs = [random_glyph_bits(rng) for _ in range(int(rng.integers(1, 4)))]
+                    x = modulate(frame_message(glyphs, 3, (5, 7)), cfg).samples
+                    lead, trail = rng.integers(0, 2 * bd, 2)
+                    x = x[int(lead) : len(x) - int(trail)] * rng.uniform(0.3, 1.5)
+                    x = x + rng.normal(0, rng.uniform(0.05, 0.6), len(x))
+                    at = int(rng.integers(len(x)))
+                    x[at : at + int(rng.integers(1, bd))] += rng.normal(0, 2)
+                    got = _active_segments(x, cfg)
+                    *want, masks = matrix_active_segments(x, cfg)
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a, b) and a.dtype == b.dtype
+                    if make is dense_config:
+                        continue
+                    # an edge whose first short-window hit fails the confirm
+                    # window takes the search over its whole row
+                    for short, confirm in masks:
+                        rows = np.arange(len(short))
+                        i = short.argmax(axis=1)
+                        hit = short[rows, i]
+                        tested += int(hit.sum())
+                        redone += int((hit & ~confirm[rows, i]).sum())
+        assert redone >= 0.05 * tested, (redone, tested)
+
+    def test_first_hot_matches_the_whole_row_search(self, rng):
+        # random masks, also read reversed as the stop side reads them: rows
+        # with no short hit, with no column where both hold, and with a
+        # first short hit that fails the confirm test
+        for p_short, p_confirm in ((0.1, 0.9), (0.3, 0.3), (0.05, 0.05), (0.9, 0.1)):
+            short = rng.random((200, 17)) < p_short
+            confirm = rng.random((200, 17)) < p_confirm
+            for a, b in ((short, confirm), (short[:, ::-1], confirm[:, ::-1])):
+                i, hit = _first_hot(a, lambda r, c: b[r, c])
+                both = a & b
+                assert np.array_equal(hit, both.any(axis=1))
+                assert np.array_equal(i[hit], both.argmax(axis=1)[hit])
 
     def test_edge_refinement_across_chunks(self, rng):
         # default-config waveforms longer than one 2**18-sample chunk of the
@@ -588,7 +686,42 @@ def test_waveform_refuses_non_finite_samples(bad):
         Waveform(np.array([0.0, 0.5, bad, -0.5]), 48000)
 
 
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        (0, "sample_rate must be positive, got 0"),
+        (-1, "sample_rate must be positive, got -1"),
+        (48000.5, "sample_rate must be an integer, got 48000.5"),
+        ("48000", "sample_rate must be an integer, got '48000'"),
+        (None, "sample_rate must be an integer, got None"),
+    ],
+)
+def test_waveform_refuses_a_rate_that_is_not_a_positive_integer(rate, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Waveform([0.0], rate)
+
+
+def test_waveform_takes_numpy_integer_rates_as_ints():
+    wave = Waveform([0.0, 0.5], np.int64(8000))
+    assert type(wave.sample_rate) is int and wave.sample_rate == 8000
+    assert Waveform([0.0], 1).duration_s == 1.0
+
+
 class TestWavFiles:
+    def test_hand_built_header_reads(self, tmp_path):
+        path = tmp_path / "hand.wav"
+        path.write_bytes(pcm_wav_bytes(8000, np.array([16384, -32767], "<i2").tobytes()))
+        back = read_wav(path)
+        assert back.sample_rate == 8000
+        assert np.array_equal(back.samples, np.array([16384, -32767]) / FULL_SCALE)
+
+    def test_zero_rate_header_is_refused(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        path.write_bytes(pcm_wav_bytes(0))
+        message = f"cannot read {path} as a WAV file: sample rate 0 Hz is not positive"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_wav(path)
+
     def test_round_trip_within_quantization(self, tmp_path, rng):
         cfg = fast_config("fsk")
         frame = one_glyph_frame()
